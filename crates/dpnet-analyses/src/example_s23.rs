@@ -53,7 +53,7 @@ mod tests {
             flags: TcpFlags::ack(),
             seq: 0,
             ack: 0,
-            payload: vec![],
+            payload: vec![].into(),
         }
     }
 

@@ -313,11 +313,7 @@ mod tests {
 
     #[test]
     fn every_registered_analysis_runs_and_spends() {
-        let skip_slow = &["worm", "itemsets", "retx-cdf"];
         for a in REGISTRY {
-            if skip_slow.contains(&a.name) {
-                continue; // exercised by their own experiment suites
-            }
             let (q, budget) = protected();
             let out = a
                 .run(&q, 0.5)

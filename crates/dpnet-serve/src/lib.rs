@@ -44,19 +44,20 @@ use std::sync::Arc;
 /// (`8 × DEFAULT_CHUNK` records each): the one-time load the daemon does
 /// before accepting sessions. A pre-sharded trace can be passed to
 /// [`serve`] directly instead.
-pub fn shard_packets(packets: Vec<Packet>) -> Vec<Arc<Vec<Packet>>> {
+///
+/// Shards are cut from the back, so each cut copies only its own records,
+/// and every shard holds exactly its records: the input's spare capacity
+/// is released rather than kept alive for the daemon's lifetime.
+pub fn shard_packets(mut packets: Vec<Packet>) -> Vec<Arc<Vec<Packet>>> {
     const SHARD: usize = 8 * 8192;
-    if packets.len() <= SHARD {
-        return vec![Arc::new(packets)];
-    }
     let mut out = Vec::with_capacity(packets.len() / SHARD + 1);
-    let mut rest = packets;
-    while rest.len() > SHARD {
-        let tail = rest.split_off(SHARD);
-        out.push(Arc::new(rest));
-        rest = tail;
+    while packets.len() > SHARD {
+        let start = (packets.len() - 1) / SHARD * SHARD;
+        out.push(Arc::new(packets.split_off(start)));
     }
-    out.push(Arc::new(rest));
+    packets.shrink_to_fit();
+    out.push(Arc::new(packets));
+    out.reverse();
     out
 }
 
@@ -79,7 +80,7 @@ pub(crate) mod testdata {
                 flags: TcpFlags::new(i % 11 == 0, true, false, false, i % 5 == 0),
                 seq: i * 1000,
                 ack: i * 500,
-                payload: Vec::new(),
+                payload: Vec::new().into(),
             })
             .collect()
     }
@@ -98,6 +99,10 @@ mod tests {
         let flat: Vec<Packet> = many.clone();
         let shards = shard_packets(many);
         assert!(shards.len() > 1);
+        assert!(shards[..shards.len() - 1]
+            .iter()
+            .all(|s| s.len() == 8 * 8192));
+        assert!(shards.iter().all(|s| s.capacity() == s.len()));
         let rejoined: Vec<Packet> = shards.iter().flat_map(|s| s.iter().cloned()).collect();
         assert_eq!(rejoined, flat);
     }

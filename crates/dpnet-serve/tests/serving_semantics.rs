@@ -23,7 +23,7 @@ fn packets(n: u32) -> Vec<Packet> {
             flags: TcpFlags::new(i % 11 == 0, true, false, false, i % 5 == 0),
             seq: i * 1000,
             ack: i * 500,
-            payload: Vec::new(),
+            payload: Vec::new().into(),
         })
         .collect()
 }

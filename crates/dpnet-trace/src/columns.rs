@@ -9,7 +9,8 @@
 //! `u32` code into a [`PayloadDict`] of distinct payloads: a few hundred
 //! thousand packets typically need only a few hundred dictionary entries,
 //! so the trace shrinks from one allocation per packet to one per *distinct
-//! payload*.
+//! payload*. Each entry is built once; rows materialized from the columns
+//! share it (a reference-count bump per row, no byte copy).
 //!
 //! The columnar form is the storage/interchange layout. The DP engine's
 //! operators take row closures, so [`PacketColumns::to_shards`] re-emits
@@ -20,7 +21,7 @@
 //! so releases over the shards are bit-identical to releases over the
 //! original row vector.
 
-use crate::packet::{Packet, Proto, TcpFlags};
+use crate::packet::{shared_payload, Packet, Proto, TcpFlags};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -28,8 +29,8 @@ use std::sync::Arc;
 /// `u32` code in first-appearance order.
 #[derive(Debug, Clone, Default)]
 pub struct PayloadDict {
-    codes: HashMap<Vec<u8>, u32>,
-    table: Vec<Vec<u8>>,
+    codes: HashMap<Arc<[u8]>, u32>,
+    table: Vec<Arc<[u8]>>,
 }
 
 impl PayloadDict {
@@ -46,8 +47,9 @@ impl PayloadDict {
             return code;
         }
         let code = u32::try_from(self.table.len()).expect("more than 2^32 distinct payloads");
-        self.codes.insert(payload.to_vec(), code);
-        self.table.push(payload.to_vec());
+        let shared = shared_payload(payload);
+        self.codes.insert(shared.clone(), code);
+        self.table.push(shared);
         code
     }
 
@@ -142,7 +144,7 @@ impl PacketColumns {
         self.ts_us.is_empty()
     }
 
-    /// Materialize row `i` (payload bytes are copied out of the dictionary).
+    /// Materialize row `i`. The payload shares the dictionary's buffer.
     ///
     /// # Panics
     /// Panics if `i >= self.len()`.
@@ -158,7 +160,7 @@ impl PacketColumns {
             flags: TcpFlags(self.flags[i]),
             seq: self.seq[i],
             ack: self.ack[i],
-            payload: self.dict.decode(self.payload_code[i]).to_vec(),
+            payload: self.dict.table[self.payload_code[i] as usize].clone(),
         }
     }
 
@@ -189,7 +191,7 @@ impl PacketColumns {
         let fixed = self.len()
             * (8 /* ts */ + 4 + 4 /* ips */ + 2 + 2 /* ports */ + 1 /* proto */
                 + 2 /* len */ + 1 /* flags */ + 4 + 4 /* seq/ack */ + 4/* code */);
-        let dict: usize = self.dict.table.iter().map(Vec::len).sum();
+        let dict: usize = self.dict.table.iter().map(|p| p.len()).sum();
         fixed + dict
     }
 }
@@ -210,7 +212,7 @@ mod tests {
             flags: TcpFlags::new(i % 2 == 0, true, false, false, i % 5 == 0),
             seq: i * 1000,
             ack: i * 500,
-            payload: payload.to_vec(),
+            payload: payload.into(),
         }
     }
 
@@ -276,7 +278,7 @@ mod tests {
         let cols = PacketColumns::from_packets(&packets);
         // Rows: every packet re-owns its payload bytes.
         let row_payload_heap: usize = packets.iter().map(|p| p.payload.len()).sum();
-        let dict_heap: usize = cols.dict.table.iter().map(Vec::len).sum();
+        let dict_heap: usize = cols.dict.table.iter().map(|p| p.len()).sum();
         assert!(dict_heap < row_payload_heap / 100);
     }
 }

@@ -13,7 +13,7 @@
 //! so generated traces can be cached between harness runs and shipped
 //! between the generator and analysis sides without re-generation.
 
-use crate::packet::{Packet, Proto, TcpFlags};
+use crate::packet::{shared_payload, Packet, Proto, TcpFlags};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fmt;
 use std::io::{Read, Write};
@@ -132,7 +132,8 @@ pub fn read_trace<R: Read>(mut r: R) -> Result<Vec<Packet>, FormatError> {
         if buf.remaining() < plen as usize {
             return Err(FormatError::Truncated);
         }
-        let payload = buf.copy_to_bytes(plen as usize).to_vec();
+        let payload = shared_payload(&buf.as_slice()[..plen as usize]);
+        buf.advance(plen as usize);
         packets.push(Packet {
             ts_us,
             src_ip,
@@ -167,7 +168,7 @@ mod tests {
                 flags: TcpFlags::syn(),
                 seq: 1000,
                 ack: 0,
-                payload: vec![],
+                payload: vec![].into(),
             },
             Packet {
                 ts_us: 456,
@@ -180,7 +181,7 @@ mod tests {
                 flags: TcpFlags::default(),
                 seq: 0,
                 ack: 0,
-                payload: b"GET / HTTP/1.1".to_vec(),
+                payload: b"GET / HTTP/1.1".to_vec().into(),
             },
         ]
     }
@@ -260,7 +261,7 @@ mod tests {
                 flags: TcpFlags::ack(),
                 seq: i,
                 ack: i,
-                payload: vec![(i % 256) as u8; (i % 16) as usize],
+                payload: vec![(i % 256) as u8; (i % 16) as usize].into(),
             });
         }
         let mut buf = Vec::new();

@@ -12,7 +12,7 @@
 //! exactly (timestamps, addresses, ports, seq/ack, flags, payload, wire
 //! length ≥ header sizes); ICMP/other lose port fields (they have none).
 
-use crate::packet::{Packet, Proto, TcpFlags};
+use crate::packet::{shared_payload, Packet, Proto, TcpFlags};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::io::{Read, Write};
 
@@ -202,7 +202,7 @@ fn parse_frame(frame: &[u8], ts_us: u64, orig: usize) -> Option<Packet> {
                 u32::from_be_bytes([l4[4], l4[5], l4[6], l4[7]]),
                 u32::from_be_bytes([l4[8], l4[9], l4[10], l4[11]]),
                 TcpFlags(l4[13] & 0x1f),
-                l4[off..].to_vec(),
+                shared_payload(&l4[off..]),
             )
         }
         Proto::Udp if l4.len() >= UDP_LEN => (
@@ -211,9 +211,9 @@ fn parse_frame(frame: &[u8], ts_us: u64, orig: usize) -> Option<Packet> {
             0,
             0,
             TcpFlags::default(),
-            l4[UDP_LEN..].to_vec(),
+            shared_payload(&l4[UDP_LEN..]),
         ),
-        _ => (0, 0, 0, 0, TcpFlags::default(), l4.to_vec()),
+        _ => (0, 0, 0, 0, TcpFlags::default(), shared_payload(l4)),
     };
     Some(Packet {
         ts_us,
@@ -246,7 +246,7 @@ mod tests {
             flags: TcpFlags::syn(),
             seq: 1000,
             ack: 2000,
-            payload: b"GET /".to_vec(),
+            payload: b"GET /".to_vec().into(),
         }
     }
 

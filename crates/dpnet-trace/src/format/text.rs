@@ -11,9 +11,10 @@
 //! tooling. It round-trips exactly with the in-memory representation
 //! (timestamps are microsecond-precision decimals).
 
-use crate::packet::{format_ip, parse_ip, Packet, Proto, TcpFlags};
+use crate::packet::{format_ip, parse_ip, shared_payload, Packet, Proto, TcpFlags};
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Read, Write};
+use std::sync::Arc;
 
 /// Errors from parsing the text format.
 #[derive(Debug)]
@@ -95,14 +96,20 @@ fn hex_encode(bytes: &[u8]) -> String {
     s
 }
 
-fn hex_decode(s: &str) -> Option<Vec<u8>> {
-    if s.len() % 2 != 0 {
+/// Decode a hex payload straight into its shared buffer. Validating first
+/// leaves an exact-length decode, which `Arc<[u8]>` collects in one
+/// allocation.
+fn hex_decode(s: &str) -> Option<Arc<[u8]>> {
+    let hex = s.as_bytes();
+    if hex.len() % 2 != 0 || !hex.iter().all(u8::is_ascii_hexdigit) {
         return None;
     }
-    (0..s.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(&s[i..i + 2], 16).ok())
-        .collect()
+    let nibble = |c: u8| (c as char).to_digit(16).expect("validated hex digit") as u8;
+    Some(
+        (0..hex.len() / 2)
+            .map(|i| nibble(hex[2 * i]) << 4 | nibble(hex[2 * i + 1]))
+            .collect(),
+    )
 }
 
 /// Render one packet as a line (no trailing newline).
@@ -196,7 +203,7 @@ pub fn parse_packet(line: &str) -> Result<Packet, String> {
         .map_err(|_| "bad len".to_string())?;
     let payload_tok = field("payload", 12, 13)?;
     let payload = if payload_tok == "-" {
-        Vec::new()
+        shared_payload(&[])
     } else {
         hex_decode(payload_tok).ok_or_else(|| "bad payload hex".to_string())?
     };
@@ -260,7 +267,7 @@ mod tests {
             flags: TcpFlags::syn(),
             seq: 1000,
             ack: 0,
-            payload: vec![0x47, 0x45, 0x54],
+            payload: vec![0x47, 0x45, 0x54].into(),
         }
     }
 
@@ -279,9 +286,23 @@ mod tests {
     }
 
     #[test]
+    fn malformed_payload_hex_is_an_error_not_a_panic() {
+        let line = format_packet(&sample());
+        let (head, _) = line.rsplit_once(' ').unwrap();
+        // Odd length, a sign, a non-hex digit, and a multi-byte character
+        // straddling a digit pair.
+        for bad in ["474", "+a", "4g", "a\u{e9}1"] {
+            let err = parse_packet(&format!("{head} {bad}")).unwrap_err();
+            assert_eq!(err, "bad payload hex", "{bad}");
+        }
+        let back = parse_packet(&format!("{head} 0aFf")).unwrap();
+        assert_eq!(&back.payload[..], &[0x0a, 0xff]);
+    }
+
+    #[test]
     fn empty_payload_round_trips() {
         let mut p = sample();
-        p.payload.clear();
+        p.payload = shared_payload(&[]);
         p.flags = TcpFlags::default();
         assert_eq!(parse_packet(&format_packet(&p)).unwrap(), p);
     }
@@ -302,7 +323,7 @@ mod tests {
             let mut p = sample();
             p.ts_us = i as u64 * 1000;
             p.seq = i;
-            p.payload = vec![(i % 256) as u8; (i % 5) as usize];
+            p.payload = vec![(i % 256) as u8; (i % 5) as usize].into();
             packets.push(p);
         }
         let mut text = String::from("# generated trace\n\n");

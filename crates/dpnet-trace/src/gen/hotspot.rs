@@ -26,9 +26,10 @@
 
 use crate::flow::FlowKey;
 use crate::gen::util::{exponential, lognormal, Categorical, Zipf};
-use crate::packet::{Packet, Proto, TcpFlags};
+use crate::packet::{shared_payload, Packet, Proto, TcpFlags};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// Tuning knobs for the Hotspot generator. `Default` gives a trace of a few
 /// hundred thousand packets that runs every experiment in seconds; scale
@@ -249,7 +250,7 @@ impl Gen {
         flags: TcpFlags,
         seq: u32,
         ack: u32,
-        payload: Vec<u8>,
+        payload: Arc<[u8]>,
     ) -> Packet {
         let len = (ACK_LEN as usize + payload.len()).min(u16::MAX as usize) as u16;
         Packet {
@@ -268,15 +269,16 @@ impl Gen {
     }
 
     /// Build the Zipf payload pool used by web flows. Payload strings are
-    /// distinct `payload_len`-byte blobs.
-    fn make_payload_pool(&mut self) -> Vec<Vec<u8>> {
+    /// distinct `payload_len`-byte blobs; every packet drawing one shares
+    /// its buffer.
+    fn make_payload_pool(&mut self) -> Vec<Arc<[u8]>> {
         let mut pool = Vec::with_capacity(self.cfg.payload_pool);
         let mut seen = std::collections::HashSet::new();
         while pool.len() < self.cfg.payload_pool {
             let mut s = vec![0u8; self.cfg.payload_len];
             self.rng.fill(&mut s[..]);
             if seen.insert(s.clone()) {
-                pool.push(s);
+                pool.push(s.into());
             }
         }
         pool
@@ -290,7 +292,7 @@ impl Gen {
     /// many.
     fn web_flow(
         &mut self,
-        pool: &[Vec<u8>],
+        pool: &[Arc<[u8]>],
         zipf: &Zipf,
         servers: &[u32],
         server_zipf: &Zipf,
@@ -331,7 +333,7 @@ impl Gen {
                 flags: TcpFlags::default(),
                 seq: 0,
                 ack: 0,
-                payload: vec![0x00, 0x01, 0x01, 0x00],
+                payload: vec![0x00, 0x01, 0x01, 0x00].into(),
             };
             let mut response = query.clone();
             response.ts_us = t_dns + self.rng.gen_range(1_000..25_000);
@@ -359,7 +361,7 @@ impl Gen {
                 TcpFlags::syn(),
                 isn,
                 0,
-                vec![],
+                shared_payload(&[]),
             ));
             t_c += self.rng.gen_range(10_000..60_000);
             self.push(Self::tcp_packet(
@@ -371,7 +373,7 @@ impl Gen {
                 TcpFlags::syn_ack(),
                 isn ^ 7,
                 isn.wrapping_add(1),
-                vec![],
+                shared_payload(&[]),
             ));
             t_c += 300;
             self.push(Self::tcp_packet(
@@ -383,7 +385,7 @@ impl Gen {
                 TcpFlags::ack(),
                 isn.wrapping_add(1),
                 (isn ^ 7).wrapping_add(1),
-                vec![],
+                shared_payload(&[]),
             ));
         }
 
@@ -408,7 +410,7 @@ impl Gen {
     #[allow(clippy::too_many_arguments)]
     fn web_connection(
         &mut self,
-        pool: &[Vec<u8>],
+        pool: &[Arc<[u8]>],
         zipf: &Zipf,
         client: u32,
         server: u32,
@@ -432,7 +434,7 @@ impl Gen {
             TcpFlags::syn(),
             isn_c,
             0,
-            vec![],
+            shared_payload(&[]),
         ));
         self.push(Self::tcp_packet(
             t0 + rtt,
@@ -443,7 +445,7 @@ impl Gen {
             TcpFlags::syn_ack(),
             isn_s,
             isn_c.wrapping_add(1),
-            vec![],
+            shared_payload(&[]),
         ));
         self.push(Self::tcp_packet(
             t0 + rtt + 200,
@@ -454,7 +456,7 @@ impl Gen {
             TcpFlags::ack(),
             isn_c.wrapping_add(1),
             isn_s.wrapping_add(1),
-            vec![],
+            shared_payload(&[]),
         ));
 
         // Request from the client: a mid-sized packet.
@@ -469,7 +471,7 @@ impl Gen {
             TcpFlags::new(false, true, false, false, true),
             isn_c.wrapping_add(1),
             isn_s.wrapping_add(1),
-            vec![0x47; req_len], // 'G'
+            vec![0x47; req_len].into(), // 'G'
         ));
 
         // Server data packets.
@@ -508,7 +510,7 @@ impl Gen {
             } else {
                 let mut p = vec![0u8; self.cfg.payload_len];
                 self.rng.fill(&mut p[..]);
-                p
+                p.into()
             };
 
             let wire_len = (ACK_LEN as usize + dlen).min(u16::MAX as usize) as u16;
@@ -553,7 +555,7 @@ impl Gen {
                     TcpFlags::ack(),
                     isn_c.wrapping_add(1 + req_len as u32),
                     seq.wrapping_add(dlen as u32),
-                    vec![],
+                    shared_payload(&[]),
                 ));
             }
             seq = seq.wrapping_add(dlen as u32);
@@ -570,7 +572,7 @@ impl Gen {
             TcpFlags::new(false, true, true, false, false),
             seq,
             0,
-            vec![],
+            shared_payload(&[]),
         ));
         t
     }
@@ -580,6 +582,7 @@ impl Gen {
     fn worm(&mut self, sources: usize, destinations: usize) {
         let mut payload = vec![0u8; self.cfg.payload_len];
         self.rng.fill(&mut payload[..]);
+        let shared: Arc<[u8]> = payload.as_slice().into();
         let srcs: Vec<u32> = (0..sources).map(|_| self.alloc_client()).collect();
         let dsts: Vec<u32> = (0..destinations).map(|_| self.alloc_server()).collect();
         let span_us = (self.cfg.duration_s * 1e6) as u64;
@@ -606,7 +609,7 @@ impl Gen {
                 TcpFlags::new(false, true, false, false, true),
                 seq,
                 0,
-                payload.clone(),
+                shared.clone(),
             ));
         }
         self.truth.worms.push(WormTruth {
@@ -657,7 +660,7 @@ impl Gen {
                     TcpFlags::new(false, true, false, false, true),
                     seq,
                     0,
-                    vec![0x73; plen], // 's'
+                    vec![0x73; plen].into(), // 's'
                 ));
                 seq = seq.wrapping_add(plen as u32);
             }
@@ -747,7 +750,7 @@ impl Gen {
                         TcpFlags::ack(),
                         seq,
                         0,
-                        vec![],
+                        shared_payload(&[]),
                     ));
                 }
             }
@@ -807,15 +810,18 @@ impl Gen {
         // the trace, and repeated request bytes, interactive payloads, and
         // worm payloads are all genuine frequent strings in it.
         let plen = self.cfg.payload_len;
-        let mut prefix_counts: std::collections::HashMap<Vec<u8>, usize> =
+        let mut prefix_counts: std::collections::HashMap<&[u8], usize> =
             std::collections::HashMap::new();
         for p in &self.packets {
             if p.payload.len() >= plen {
-                *prefix_counts.entry(p.payload[..plen].to_vec()).or_default() += 1;
+                *prefix_counts.entry(&p.payload[..plen]).or_default() += 1;
             }
         }
-        let mut counts: Vec<(Vec<u8>, usize)> =
-            prefix_counts.into_iter().filter(|(_, c)| *c > 1).collect();
+        let mut counts: Vec<(Vec<u8>, usize)> = prefix_counts
+            .into_iter()
+            .filter(|(_, c)| *c > 1)
+            .map(|(prefix, c)| (prefix.to_vec(), c))
+            .collect();
         counts.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         self.truth.payload_counts = counts;
 
@@ -920,7 +926,7 @@ mod tests {
             let mut dsts = std::collections::HashSet::new();
             let mut copies = 0;
             for p in &t.packets {
-                if p.payload == w.payload {
+                if *p.payload == *w.payload {
                     srcs.insert(p.src_ip);
                     dsts.insert(p.dst_ip);
                     copies += 1;

@@ -32,4 +32,4 @@ pub mod tcp;
 pub use columns::{PacketColumns, PayloadDict};
 pub use connections::{annotate_connections, ConnPacket};
 pub use flow::{FlowKey, FlowSummary};
-pub use packet::{format_ip, parse_ip, Packet, Proto, TcpFlags};
+pub use packet::{format_ip, parse_ip, shared_payload, Packet, Proto, TcpFlags};

@@ -8,6 +8,7 @@
 //! addresses/ports for stepping stones) that sanitized public traces remove.
 
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// Transport protocol of a packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -172,7 +173,13 @@ pub struct Packet {
     pub ack: u32,
     /// Application payload bytes. Kept verbatim — this is sensitive data the
     /// DP layer is responsible for protecting.
-    pub payload: Vec<u8>,
+    ///
+    /// Immutable and shared: cloning a packet (which every engine barrier
+    /// does) bumps a reference count instead of copying the bytes, and
+    /// packets carrying the same pooled string share one buffer. Build it
+    /// with `.into()` from a `Vec<u8>` or byte slice, or with
+    /// [`shared_payload`], which maps every empty payload to one buffer.
+    pub payload: Arc<[u8]>,
 }
 
 impl Packet {
@@ -185,6 +192,17 @@ impl Packet {
     /// uses the integral microsecond clock).
     pub fn ts_secs(&self) -> f64 {
         self.ts_us as f64 / 1e6
+    }
+}
+
+/// `bytes` as a packet payload. Every empty payload is the same shared
+/// buffer, so header-only packets (SYNs, pure ACKs) allocate nothing.
+pub fn shared_payload(bytes: &[u8]) -> Arc<[u8]> {
+    static EMPTY: OnceLock<Arc<[u8]>> = OnceLock::new();
+    if bytes.is_empty() {
+        EMPTY.get_or_init(|| Arc::from(bytes)).clone()
+    } else {
+        Arc::from(bytes)
     }
 }
 
@@ -258,7 +276,7 @@ mod tests {
             flags: TcpFlags::ack(),
             seq: 0,
             ack: 0,
-            payload: vec![],
+            payload: shared_payload(&[]),
         };
         assert_eq!(p.ts_ms(), 1500);
         assert!((p.ts_secs() - 1.5).abs() < 1e-9);

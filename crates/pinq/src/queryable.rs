@@ -100,6 +100,43 @@ fn outcome_of<R>(r: &Result<R>) -> Outcome {
     }
 }
 
+/// Group `records` by `key` for `group_by` and `join`: one group per
+/// distinct key in first-seen order, members in input order. `key` runs
+/// once per record and each key is cloned once per group; a counting pass
+/// sizes every group's `Vec` exactly before the second pass fills it.
+fn group_records<K, T>(records: &Shards<T>, key: impl Fn(&T) -> K) -> Vec<Group<K, T>>
+where
+    K: Eq + Hash + Clone,
+    T: Clone,
+{
+    let mut slot_of: HashMap<K, usize> = HashMap::new();
+    let mut sized: Vec<(K, usize)> = Vec::new();
+    let slots: Vec<usize> = records
+        .iter()
+        .map(|r| {
+            let k = key(r);
+            let slot = slot_of.get(&k).copied().unwrap_or_else(|| {
+                slot_of.insert(k.clone(), sized.len());
+                sized.push((k, 0));
+                sized.len() - 1
+            });
+            sized[slot].1 += 1;
+            slot
+        })
+        .collect();
+    let mut groups: Vec<Group<K, T>> = sized
+        .into_iter()
+        .map(|(key, n)| Group {
+            key,
+            items: Vec::with_capacity(n),
+        })
+        .collect();
+    for (r, slot) in records.iter().zip(slots) {
+        groups[slot].items.push(r.clone());
+    }
+    groups
+}
+
 /// An opaque, privacy-protected dataset.
 ///
 /// Cloning is cheap (the records are shared); clones charge the same budget.
@@ -729,26 +766,7 @@ impl<T> Queryable<T> {
         T: Clone + Send + Sync,
     {
         let t = SpanTimer::start();
-        let records = self.records();
-        let mut order: Vec<K> = Vec::new();
-        let mut groups: HashMap<K, Vec<T>> = HashMap::new();
-        for r in records.iter() {
-            let k = key(r);
-            groups
-                .entry(k.clone())
-                .or_insert_with(|| {
-                    order.push(k.clone());
-                    Vec::new()
-                })
-                .push(r.clone());
-        }
-        let out: Vec<Group<K, T>> = order
-            .into_iter()
-            .map(|k| {
-                let items = groups.remove(&k).expect("key recorded on first sight");
-                Group { key: k, items }
-            })
-            .collect();
+        let out = group_records(&self.records(), key);
         let n_out = out.len();
         let q = self.derive("group_by", out, self.stability * 2.0);
         self.emit_transform("group_by", q.stability, t.elapsed_ns(), n_out);
@@ -800,55 +818,54 @@ impl<T> Queryable<T> {
         U: Clone + Send + Sync,
     {
         let t = SpanTimer::start();
-        let left_records = self.records();
-        let right_records = other.records();
-        let mut left: HashMap<K, Vec<T>> = HashMap::new();
-        let mut order: Vec<K> = Vec::new();
-        for r in left_records.iter() {
-            let k = left_key(r);
-            left.entry(k.clone())
-                .or_insert_with(|| {
-                    order.push(k.clone());
-                    Vec::new()
-                })
-                .push(r.clone());
-        }
-        let mut right: HashMap<K, Vec<U>> = HashMap::new();
-        for r in right_records.iter() {
-            right.entry(right_key(r)).or_default().push(r.clone());
-        }
-        let out: Vec<JoinGroup<K, T, U>> = order
+        let left = self.records();
+        let mut right: HashMap<K, Vec<U>> = group_records(&other.records(), right_key)
             .into_iter()
-            .filter_map(|k| {
-                let rs = right.get(&k)?.clone();
-                let ls = left.remove(&k).expect("key recorded on first sight");
+            .map(|g| (g.key, g.items))
+            .collect();
+        // Left keys are distinct, so each right group is moved out at most once.
+        let out: Vec<JoinGroup<K, T, U>> = group_records(&left, left_key)
+            .into_iter()
+            .filter_map(|g| {
+                let right = right.remove(&g.key)?;
                 Some(JoinGroup {
-                    key: k,
-                    left: ls,
-                    right: rs,
+                    key: g.key,
+                    left: g.items,
+                    right,
                 })
             })
             .collect();
-        let n_out = out.len();
+        self.combined("join", other, Shards::from_vec(out), t)
+    }
+
+    /// The output of a binary operator (`concat`, `join`, `intersect`): it
+    /// bills both this queryable's lineage and `other`'s, each scaled by its
+    /// accumulated stability, and resets stability to 1 against that node.
+    fn combined<U, V>(
+        &self,
+        op: &'static str,
+        other: &Queryable<V>,
+        records: Shards<U>,
+        t: SpanTimer,
+    ) -> Queryable<U> {
+        let n_out = records.len();
         let q = Queryable {
-            data: Data::Ready(Shards::from_vec(out)),
-            charge: self.combined_charge(other.charge.clone(), other.stability),
+            data: Data::Ready(records),
+            charge: kernel::scaled_pair(
+                &self.charge,
+                self.stability,
+                &other.charge,
+                other.stability,
+            ),
             noise: self.noise.clone(),
             stability: 1.0,
             label: self.label.clone(),
             sink: self.sink.clone(),
             ctx: self.ctx.clone(),
-            lineage: OpNode::combined("join", self.lineage.clone(), other.lineage.clone()),
+            lineage: OpNode::combined(op, self.lineage.clone(), other.lineage.clone()),
         };
-        self.emit_transform("join", q.stability, t.elapsed_ns(), n_out);
+        self.emit_transform(op, q.stability, t.elapsed_ns(), n_out);
         q
-    }
-
-    /// A charge node billing both this queryable's lineage and another's,
-    /// each scaled by its accumulated stability (`concat`, `join`,
-    /// `intersect` all reset stability to 1 against this combined node).
-    fn combined_charge(&self, other: Arc<ChargeNode>, other_stability: f64) -> Arc<ChargeNode> {
-        kernel::scaled_pair(&self.charge, self.stability, &other, other_stability)
     }
 
     /// Concatenate two protected datasets (PINQ `Concat`). No sensitivity
@@ -872,19 +889,7 @@ impl<T> Queryable<T> {
         } else {
             left.concat(&right)
         };
-        let n_out = records.len();
-        let q = Queryable {
-            data: Data::Ready(records),
-            charge: self.combined_charge(other.charge.clone(), other.stability),
-            noise: self.noise.clone(),
-            stability: 1.0,
-            label: self.label.clone(),
-            sink: self.sink.clone(),
-            ctx: self.ctx.clone(),
-            lineage: OpNode::combined("concat", self.lineage.clone(), other.lineage.clone()),
-        };
-        self.emit_transform("concat", q.stability, t.elapsed_ns(), n_out);
-        q
+        self.combined("concat", other, records, t)
     }
 
     /// Distinct records present in both inputs (PINQ `Intersect`). No
@@ -903,19 +908,7 @@ impl<T> Queryable<T> {
             .filter(|r| theirs.contains(r) && seen.insert((*r).clone()))
             .cloned()
             .collect();
-        let n_out = out.len();
-        let q = Queryable {
-            data: Data::Ready(Shards::from_vec(out)),
-            charge: self.combined_charge(other.charge.clone(), other.stability),
-            noise: self.noise.clone(),
-            stability: 1.0,
-            label: self.label.clone(),
-            sink: self.sink.clone(),
-            ctx: self.ctx.clone(),
-            lineage: OpNode::combined("intersect", self.lineage.clone(), other.lineage.clone()),
-        };
-        self.emit_transform("intersect", q.stability, t.elapsed_ns(), n_out);
-        q
+        self.combined("intersect", other, Shards::from_vec(out), t)
     }
 
     /// Split into disjoint parts by a *data-independent* key list (PINQ
@@ -928,9 +921,9 @@ impl<T> Queryable<T> {
     ///
     /// A barrier: forces the pending fused plan. Under [`ExecCtx::Pool`]
     /// the bucketing pass runs chunked on the pool — each fixed-size chunk
-    /// fills per-chunk local buckets, concatenated in chunk order — so
-    /// every part holds its records in the sequential order for any worker
-    /// count.
+    /// fills per-chunk local buckets, concatenated in chunk order into parts
+    /// allocated at their exact size — so every part holds its records in
+    /// the sequential order for any worker count.
     ///
     /// Returns [`Error::DuplicatePartitionKeys`] when `keys` repeats a key:
     /// buckets are looked up by key, so a duplicate would silently route
@@ -979,7 +972,9 @@ impl<T> Queryable<T> {
                     buckets
                 });
                 self.emit_exec("partition", pool.workers(), n_tasks, t.elapsed_ns());
-                let mut parts: Vec<Vec<T>> = (0..keys.len()).map(|_| Vec::new()).collect();
+                let mut parts: Vec<Vec<T>> = (0..keys.len())
+                    .map(|i| Vec::with_capacity(locals.iter().map(|l| l[i].len()).sum()))
+                    .collect();
                 for local in locals {
                     for (part, mut bucket) in parts.iter_mut().zip(local) {
                         part.append(&mut bucket);

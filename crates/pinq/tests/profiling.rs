@@ -154,8 +154,18 @@ fn pool_runs_produce_worker_tracks_tasks_and_telemetry() {
         q.noisy_sum_clamped(0.1, 10.0, |&v| v as f64).unwrap();
     });
     // The coordinating thread holds the run span under the aggregation.
-    let run = spans.iter().find(|s| s.name == "exec/run").expect("run");
-    let agg = spans.iter().find(|s| s.name == "noisy_sum").expect("agg");
+    // The recorder is process-wide, so tests running concurrently on other
+    // threads (the unguarded ones above also run `noisy_sum` on a pool)
+    // land their spans in it too: look only at this thread's track.
+    let me = dpnet_obs::span::current_track();
+    let mine = |name: &str| {
+        let mut found = spans.iter().filter(|s| s.track == me && s.name == name);
+        let span = found.next().unwrap_or_else(|| panic!("no {name} span"));
+        assert!(found.next().is_none(), "one {name} span per test thread");
+        span
+    };
+    let run = mine("exec/run");
+    let agg = mine("noisy_sum");
     assert_eq!(run.parent, Some(agg.id));
     // Tasks ran on worker tracks, distinct from the coordinator's.
     let tasks: Vec<&CompletedSpan> = spans.iter().filter(|s| s.name == "exec/task").collect();
