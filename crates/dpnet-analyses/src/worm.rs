@@ -20,8 +20,7 @@
 
 use dpnet_toolkit::freqstrings::{frequent_strings, FrequentStringsConfig};
 use dpnet_trace::Packet;
-use pinq::parallel::parallel_map_parts_with;
-use pinq::{ExecCtx, ExecPool, Queryable, Result};
+use pinq::{Queryable, Result};
 use std::collections::{HashMap, HashSet};
 
 /// Configuration for private worm fingerprinting.
@@ -69,6 +68,12 @@ pub struct WormFinding {
 
 /// Run private worm fingerprinting. Total privacy cost:
 /// `(payload_len + 2) × ε`.
+///
+/// The per-candidate dispersion queries (`distinct → count`, twice per
+/// part) go through [`Queryable::map_parts`]: every part draws from its own
+/// noise substream, and under a pool context (see [`Queryable::with_ctx`])
+/// the parts are measured concurrently. At a fixed seed the findings are
+/// identical in every context and for any worker count.
 pub fn worm_fingerprints(
     packets: &Queryable<Packet>,
     cfg: &WormConfig,
@@ -99,71 +104,8 @@ pub fn worm_fingerprints(
         }
     })?;
 
-    let mut findings = Vec::new();
-    for (cand, part) in candidates.into_iter().zip(&parts) {
-        let srcs = part.distinct_by(|p| p.src_ip).noisy_count(cfg.eps)?;
-        let dsts = part.distinct_by(|p| p.dst_ip).noisy_count(cfg.eps)?;
-        if srcs > cfg.src_threshold && dsts > cfg.dst_threshold {
-            findings.push(WormFinding {
-                payload: cand.bytes,
-                distinct_sources: srcs,
-                distinct_destinations: dsts,
-                presence: cand.noisy_count,
-            });
-        }
-    }
-    findings.sort_by(|a, b| {
-        b.presence
-            .partial_cmp(&a.presence)
-            .expect("finite presence")
-    });
-    Ok(findings)
-}
-
-/// [`worm_fingerprints`] on a worker pool: the candidate partition is built
-/// by the chunked parallel kernel, and the per-candidate dispersion queries
-/// (`distinct → count`, twice per part) fan out across workers with
-/// deterministic per-part noise substreams. At a fixed seed the findings
-/// are identical for **any** worker count; budget charges match the
-/// sequential analysis exactly. (The released values differ from the
-/// sequential [`worm_fingerprints`] at the same seed, because each part
-/// draws from its own substream rather than the shared stream.)
-pub fn worm_fingerprints_with(
-    packets: &Queryable<Packet>,
-    cfg: &WormConfig,
-    pool: &ExecPool,
-) -> Result<Vec<WormFinding>> {
-    let plen = cfg.payload_len;
-    // Bind the pool once: every plan materialization and partition below
-    // runs chunked on it.
-    let packets = packets.clone().with_ctx(ExecCtx::pool(pool));
-    let payloads = packets
-        .filter(move |p| p.payload.len() >= plen)
-        .map(move |p| p.payload[..plen].to_vec());
-    let candidates = frequent_strings(
-        &payloads,
-        &FrequentStringsConfig {
-            length: plen,
-            eps_per_level: cfg.eps,
-            threshold: cfg.presence_threshold,
-            max_viable: 512,
-        },
-    )?;
-    if candidates.is_empty() {
-        return Ok(Vec::new());
-    }
-
-    let keys: Vec<Vec<u8>> = candidates.iter().map(|c| c.bytes.clone()).collect();
-    let parts = packets.partition(&keys, move |p: &Packet| {
-        if p.payload.len() >= plen {
-            p.payload[..plen].to_vec()
-        } else {
-            Vec::new()
-        }
-    })?;
-
     let eps = cfg.eps;
-    let dispersions = parallel_map_parts_with(&parts, pool, |part| {
+    let dispersions = Queryable::map_parts(&parts, |part| {
         let srcs = part.distinct_by(|p| p.src_ip).noisy_count(eps)?;
         let dsts = part.distinct_by(|p| p.dst_ip).noisy_count(eps)?;
         Ok((srcs, dsts))
@@ -211,7 +153,7 @@ pub struct PortWormFinding {
 ///
 /// Privacy cost: `payload_len × ε` (search) + `2ε` (the per-pair dispersion
 /// counts compose in parallel).
-pub fn worm_fingerprints_with_port(
+pub fn worm_fingerprints_by_port(
     packets: &Queryable<Packet>,
     cfg: &WormConfig,
     ports: &[u16],
@@ -398,7 +340,7 @@ pub fn worm_fingerprints_exact(
 mod tests {
     use super::*;
     use dpnet_trace::gen::hotspot::{generate, HotspotConfig};
-    use pinq::{Accountant, NoiseSource};
+    use pinq::{Accountant, ExecCtx, ExecPool, NoiseSource};
 
     fn trace() -> dpnet_trace::gen::hotspot::HotspotTrace {
         generate(HotspotConfig {
@@ -552,7 +494,7 @@ mod tests {
 
         // Port qualification keeps the worm and drops the scanner noise.
         let ports: Vec<u16> = (1000..1120).chain([445]).collect();
-        let qualified = worm_fingerprints_with_port(&q, &base_cfg, &ports).unwrap();
+        let qualified = worm_fingerprints_by_port(&q, &base_cfg, &ports).unwrap();
         assert!(qualified
             .iter()
             .any(|f| f.payload == b"WORMCODE".to_vec() && f.port == 445));
@@ -623,45 +565,33 @@ mod tests {
     }
 
     #[test]
-    fn pool_fingerprinting_is_identical_for_any_worker_count() {
+    fn findings_and_charges_are_identical_in_every_context() {
         let t = trace();
-        let cfg = WormConfig {
-            eps: 10.0,
-            presence_threshold: 50.0,
-            ..WormConfig::default()
-        };
-        let run = |workers: usize| {
-            let (acct, q) = protect(t.packets.clone(), 100.0, 89);
+        let mut ctxs = vec![ExecCtx::Sequential];
+        for workers in [1, 2, 8] {
             let pool = ExecPool::new(workers).unwrap().with_chunk_size(64);
-            let found = worm_fingerprints_with(&q, &cfg, &pool).unwrap();
-            assert!(!found.is_empty(), "expected findings at weak privacy");
-            (found, acct.spent())
-        };
-        let baseline = run(1);
-        for workers in [2, 8] {
-            assert_eq!(run(workers), baseline, "workers={workers} diverged");
+            ctxs.push(ExecCtx::Pool(pool));
         }
-    }
-
-    #[test]
-    fn pool_fingerprinting_charges_match_sequential() {
-        let t = trace();
-        let cfg = WormConfig {
-            eps: 1.0,
-            presence_threshold: 50.0,
-            ..WormConfig::default()
-        };
-        let (seq_acct, seq_q) = protect(t.packets.clone(), 100.0, 73);
-        worm_fingerprints(&seq_q, &cfg).unwrap();
-        let (par_acct, par_q) = protect(t.packets.clone(), 100.0, 73);
-        let pool = ExecPool::new(4).unwrap().with_chunk_size(64);
-        worm_fingerprints_with(&par_q, &cfg, &pool).unwrap();
-        assert!(
-            (par_acct.spent() - seq_acct.spent()).abs() < 1e-12,
-            "parallel spent {} vs sequential {}",
-            par_acct.spent(),
-            seq_acct.spent()
-        );
+        for eps in [0.1, 1.0, 10.0] {
+            let cfg = WormConfig {
+                eps,
+                presence_threshold: 50.0,
+                ..WormConfig::default()
+            };
+            let run = |ctx: &ExecCtx| {
+                let (acct, q) = protect(t.packets.clone(), 100.0, 89);
+                let found = worm_fingerprints(&q.with_ctx(ctx.clone()), &cfg).unwrap();
+                (found, acct.spent())
+            };
+            let baseline = run(&ctxs[0]);
+            if eps == 10.0 {
+                assert!(!baseline.0.is_empty(), "expected findings at weak privacy");
+            }
+            for ctx in &ctxs[1..] {
+                let workers = ctx.workers();
+                assert_eq!(run(ctx), baseline, "eps={eps} pool x{workers} diverged");
+            }
+        }
     }
 
     #[test]

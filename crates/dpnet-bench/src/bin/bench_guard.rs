@@ -28,21 +28,20 @@
 //! machines with fewer CPUs than workers.
 //!
 //! `record` reruns the baseline experiment set (`fig1 itemsets worm` unless
-//! ids are given) in this process and rewrites
+//! ids are given; any `repro` id works) in this process and rewrites
 //! `bench-reports/BENCH_baseline.json`, recalibrating for the current
 //! machine. Run it after an intentional engine change, then commit the
 //! refreshed baseline alongside the change.
 //!
 //! `record --check` is the dry-run staleness gate: it touches nothing and
-//! instead verifies that the committed fixtures the other gates consume —
-//! `BENCH_baseline.json` and every `GOLDEN_*.json` under the report
-//! directory — were produced by the current report schema. Run-report
-//! fixtures must carry `schema_version` equal to
-//! [`dpnet_bench::report::SCHEMA_VERSION`]; explain-format fixtures must
-//! parse with the current explain-semantics reader. Any stale file fails
-//! (exit 1) with the exact regeneration command, so a schema bump cannot
-//! silently turn the compare/golden gates into no-ops that misread old
-//! field layouts.
+//! instead verifies that every `BENCH_*.json` and `GOLDEN_*.json` under the
+//! report directory (the baseline even when absent) was produced by the
+//! current report schema. Run-report fixtures must carry `schema_version`
+//! equal to [`dpnet_bench::report::SCHEMA_VERSION`]; explain-format
+//! fixtures must parse with the current explain-semantics reader. Any
+//! stale file fails (exit 1) with the exact regeneration command, so a
+//! schema bump cannot silently turn the compare/golden gates into no-ops
+//! that misread old field layouts.
 //!
 //! `golden` compares only the *semantic* fields of two reports — experiment
 //! ids, their `eps_charged`, and each phase's name and `eps_spent` — and
@@ -66,7 +65,7 @@
 //! structure or privacy-cost arithmetic fails the build, while noise draws
 //! and wall times cannot.
 
-use dpnet_bench::experiments as exp;
+use dpnet_bench::profile::run_experiment;
 use dpnet_bench::report::{RunReport, SCHEMA_VERSION};
 use dpnet_obs::{set_global_sink, MemorySink};
 use dpnet_trace::gen::scatter::{generate_with, ScatterConfig};
@@ -507,40 +506,13 @@ fn cmd_profile(a_path: &str, b_path: &str) -> i32 {
 /// The experiment set the committed baseline covers.
 const BASELINE_IDS: [&str; 3] = ["fig1", "itemsets", "worm"];
 
-/// Run one pool-aware experiment for `record`, discarding its report text.
-fn run_baseline_experiment(id: &str, pool: &ExecPool) -> Result<(), String> {
-    match id {
-        "fig1" => exp::fig1::run_with(1.0, pool)
-            .map(|_| ())
-            .map_err(|e| e.to_string()),
-        "itemsets" => {
-            exp::itemsets_exp::run_with(1.0, pool);
-            Ok(())
-        }
-        "worm" => {
-            exp::worm_exp::run_with(pool);
-            Ok(())
-        }
-        other => Err(format!(
-            "unknown baseline experiment id '{other}' (expected one of {})",
-            BASELINE_IDS.join(" ")
-        )),
-    }
-}
-
 fn cmd_record(out_dir: &str, ids: &[String]) -> i32 {
     let ids: Vec<&str> = if ids.is_empty() {
         BASELINE_IDS.to_vec()
     } else {
         ids.iter().map(String::as_str).collect()
     };
-    let pool = match ExecPool::new(1) {
-        Ok(pool) => pool,
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
+    let ctx = ExecCtx::Pool(ExecPool::sequential());
     let sink = Arc::new(MemorySink::new());
     set_global_sink(Some(sink.clone()));
     let mut report = RunReport::new("baseline");
@@ -549,8 +521,8 @@ fn cmd_record(out_dir: &str, ids: &[String]) -> i32 {
     for id in &ids {
         sink.clear();
         let start = Instant::now();
-        match run_baseline_experiment(id, &pool) {
-            Ok(()) => {
+        match run_experiment(id, &ctx) {
+            Ok(_) => {
                 let wall = start.elapsed();
                 println!("[{id} recorded in {wall:.1?}]");
                 report.record(id, wall.as_nanos() as u64, &sink.drain());
@@ -714,46 +686,49 @@ fn regenerate_hint(name: &str) -> String {
     format!("regenerate bench-reports/{name} with the tool that produced it")
 }
 
-fn cmd_record_check(out_dir: &str) -> i32 {
-    let dir = std::path::Path::new(out_dir);
-    // The baseline is checked even when absent; the serve report is
-    // checked when committed; goldens are whatever is committed (sorted so
-    // the output is stable).
-    let mut names = vec!["BENCH_baseline.json".to_string()];
-    if dir.join("BENCH_serve.json").exists() {
-        names.push("BENCH_serve.json".to_string());
+/// Check every `BENCH_*.json` and `GOLDEN_*.json` in `dir` (sorted, so the
+/// output is stable), printing one verdict per file, and return the names
+/// of the stale ones. The baseline is checked even when absent: the
+/// compare gate cannot run without it.
+fn stale_fixtures(dir: &std::path::Path) -> Result<Vec<String>, String> {
+    let entries =
+        std::fs::read_dir(dir).map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
+    let mut names: Vec<String> = entries
+        .filter_map(Result::ok)
+        .filter_map(|e| e.file_name().into_string().ok())
+        .filter(|n| (n.starts_with("BENCH_") || n.starts_with("GOLDEN_")) && n.ends_with(".json"))
+        .collect();
+    if !names.iter().any(|n| n == "BENCH_baseline.json") {
+        names.push("BENCH_baseline.json".to_string());
     }
-    match std::fs::read_dir(dir) {
-        Ok(entries) => {
-            let mut goldens: Vec<String> = entries
-                .filter_map(Result::ok)
-                .filter_map(|e| e.file_name().into_string().ok())
-                .filter(|n| n.starts_with("GOLDEN_") && n.ends_with(".json"))
-                .collect();
-            goldens.sort();
-            names.extend(goldens);
-        }
-        Err(e) => {
-            eprintln!("cannot read {out_dir}: {e}");
-            return 2;
-        }
-    }
+    names.sort();
     let mut stale = Vec::new();
-    for name in &names {
-        match std::fs::read_to_string(dir.join(name)) {
-            Ok(text) => match check_fixture_text(name, &text) {
+    for name in names {
+        match std::fs::read_to_string(dir.join(&name)) {
+            Ok(text) => match check_fixture_text(&name, &text) {
                 Ok(status) => println!("[fresh] {name}: {status}"),
                 Err(reason) => {
                     eprintln!("[STALE] {name}: {reason}");
-                    stale.push(name.clone());
+                    stale.push(name);
                 }
             },
             Err(e) => {
                 eprintln!("[STALE] {name}: cannot read: {e}");
-                stale.push(name.clone());
+                stale.push(name);
             }
         }
     }
+    Ok(stale)
+}
+
+fn cmd_record_check(out_dir: &str) -> i32 {
+    let stale = match stale_fixtures(std::path::Path::new(out_dir)) {
+        Ok(stale) => stale,
+        Err(e) => {
+            eprintln!("{e}");
+            return 2;
+        }
+    };
     if stale.is_empty() {
         println!("record --check: all committed fixtures match schema {SCHEMA_VERSION}");
         return 0;
@@ -1239,6 +1214,20 @@ mod tests {
         assert!(reason.contains("schema_version 1"), "{reason}");
         let reason = check_fixture_text("BENCH_baseline.json", SAMPLE).unwrap_err();
         assert!(reason.contains("no schema_version"), "{reason}");
+    }
+
+    #[test]
+    fn record_check_globs_every_report_and_flags_schema_less_ones() {
+        let dir = std::env::temp_dir().join(format!("bench-guard-check-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let current = format!("{{\"schema_version\":{SCHEMA_VERSION}}}");
+        std::fs::write(dir.join("BENCH_baseline.json"), &current).unwrap();
+        std::fs::write(dir.join("GOLDEN_y.json"), &current).unwrap();
+        std::fs::write(dir.join("BENCH_x.json"), SAMPLE).unwrap();
+        std::fs::write(dir.join("PROFILE_z.txt"), "not a report").unwrap();
+        let stale = stale_fixtures(&dir).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(stale, vec!["BENCH_x.json".to_string()]);
     }
 
     #[test]

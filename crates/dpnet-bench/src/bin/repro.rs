@@ -7,17 +7,18 @@
 //! repro <id> [<id> ...]     # one or more of:
 //!       table1 example23 fig1 table4 itemsets fig2 worm fig3
 //!       table5 fig4 fig5 table2
-//! repro --workers N <id>…   # run pool-aware experiments on N workers
+//! repro --workers N <id>…   # run on an N-worker execution context
 //! repro --profile <id>…     # record spans; adds per-operator attribution
 //! repro --explain <id>…     # also write bench-reports/EXPLAIN_<id>.txt
 //! ```
 //!
-//! With `--workers N` (N ≥ 1), the experiments that have worker-pool
-//! variants (`fig1`, `itemsets`, `worm`) run on a shared [`pinq::ExecPool`];
-//! the rest are unaffected. Output is deterministic: for a fixed seed, any
-//! two worker counts produce identical results. The report target gains a
-//! `-wN` suffix when N > 1, so `BENCH_fig1.json` and `BENCH_fig1-w4.json`
-//! can be compared side by side.
+//! With `--workers N` (N ≥ 1), every experiment gets one
+//! [`pinq::ExecCtx`] backed by an N-worker [`pinq::ExecPool`]; the ones
+//! whose queries take a context (`fig1`, `itemsets`, `worm`) bind it to
+//! their protected trace, the rest ignore it. Output is deterministic: for
+//! a fixed seed, any two worker counts produce identical results. The
+//! report target gains a `-wN` suffix when N > 1, so `BENCH_fig1.json` and
+//! `BENCH_fig1-w4.json` can be compared side by side.
 //!
 //! A [`MemorySink`] is installed as the process-global event sink for the
 //! whole run, so every engine charge and toolkit phase is captured. After
@@ -41,7 +42,9 @@
 use dpnet_bench::profile::{run_experiment, IDS};
 use dpnet_bench::report::RunReport;
 use dpnet_obs::{install_recorder, set_global_sink, uninstall_recorder, MemorySink, TraceRecorder};
-use pinq::{install_explain_recorder, uninstall_explain_recorder, ExecPool, ExplainRecorder};
+use pinq::{
+    install_explain_recorder, uninstall_explain_recorder, ExecCtx, ExecPool, ExplainRecorder,
+};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
@@ -104,8 +107,8 @@ fn main() {
         );
         std::process::exit(2);
     }
-    let pool = match ExecPool::new(workers) {
-        Ok(pool) => pool,
+    let ctx = match ExecPool::new(workers) {
+        Ok(pool) => ExecCtx::Pool(pool),
         Err(e) => {
             eprintln!("{e}");
             std::process::exit(2);
@@ -151,7 +154,7 @@ fn main() {
             rec.clear();
         }
         let start = Instant::now();
-        match run_experiment(id, &pool) {
+        match run_experiment(id, &ctx) {
             Ok(text) => {
                 let wall = start.elapsed();
                 println!("{text}");

@@ -12,7 +12,7 @@ use crate::report::{header, Table};
 use dpnet_analyses::anomaly::{
     anomaly_norms, flag_anomalies, private_anomaly_norms, AnomalyConfig,
 };
-use pinq::{Accountant, NoiseSource, Queryable};
+use pinq::{Accountant, ExecCtx, NoiseSource, Queryable};
 
 /// One summary row.
 #[derive(Debug, Clone)]
@@ -87,7 +87,7 @@ pub fn run() -> (Vec<Table2Row>, String) {
         .map(|(e, _)| *e);
 
     // Worm fingerprinting: smallest ε recovering ≥ 95% of signatures.
-    let (wr, _) = worm_exp::run();
+    let (wr, _) = worm_exp::run(ExecCtx::Sequential);
     let worm_eps = wr
         .recovery
         .iter()

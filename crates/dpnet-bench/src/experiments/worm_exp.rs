@@ -7,15 +7,13 @@
 
 use crate::datasets::{self, EPSILONS};
 use crate::report::{f, header, Table};
-use dpnet_analyses::worm::{
-    worm_fingerprints, worm_fingerprints_exact, worm_fingerprints_with, WormConfig,
-};
+use dpnet_analyses::worm::{worm_fingerprints, worm_fingerprints_exact, WormConfig};
 use dpnet_trace::FlowKey;
-use pinq::{Accountant, ExecPool, NoiseSource, Queryable};
+use pinq::{Accountant, ExecCtx, NoiseSource, Queryable};
 use std::collections::HashSet;
 
 /// Recovery result per privacy level.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WormRecovery {
     /// ε used (per aggregation).
     pub eps: f64,
@@ -26,7 +24,7 @@ pub struct WormRecovery {
 }
 
 /// Full result of the worm experiment.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WormResult {
     /// Size of the noise-free signature set.
     pub exact_count: usize,
@@ -37,36 +35,17 @@ pub struct WormResult {
     pub recovery: Vec<WormRecovery>,
 }
 
-/// Run the worm experiment over the standard Hotspot trace.
-pub fn run() -> (WormResult, String) {
-    run_on(datasets::hotspot())
+/// Run the worm experiment over the standard Hotspot trace, on `ctx`. The
+/// released values are the same in every context and for any worker count.
+pub fn run(ctx: ExecCtx) -> (WormResult, String) {
+    run_on(datasets::hotspot(), ctx)
 }
 
-/// [`run`] on a worker pool. The fingerprint search itself is deterministic
-/// for every worker count, but draws per-part noise substreams, so its
-/// released values form a different (equally valid) sample than the
-/// sequential [`run`] at the same seed.
-pub fn run_with(pool: &ExecPool) -> (WormResult, String) {
-    run_on_with(datasets::hotspot(), pool)
-}
-
-/// Run the worm experiment over a caller-supplied trace (used by tests to
-/// keep debug-mode runtimes reasonable).
-pub fn run_on(trace: &dpnet_trace::gen::hotspot::HotspotTrace) -> (WormResult, String) {
-    run_on_impl(trace, None)
-}
-
-/// [`run_on`] on a worker pool.
-pub fn run_on_with(
+/// [`run`] over a caller-supplied trace (used by tests to keep debug-mode
+/// runtimes reasonable).
+pub fn run_on(
     trace: &dpnet_trace::gen::hotspot::HotspotTrace,
-    pool: &ExecPool,
-) -> (WormResult, String) {
-    run_on_impl(trace, Some(pool))
-}
-
-fn run_on_impl(
-    trace: &dpnet_trace::gen::hotspot::HotspotTrace,
-    pool: Option<&ExecPool>,
+    ctx: ExecCtx,
 ) -> (WormResult, String) {
     let exact = worm_fingerprints_exact(&trace.packets, 8, 50, 50);
 
@@ -74,7 +53,7 @@ fn run_on_impl(
     let noise = NoiseSource::seeded(0x3042);
     // Generator-emitted shards: the trace enters the engine pre-chunked
     // (flat order unchanged, so releases are identical to a flat source).
-    let q = Queryable::from_shared_shards(trace.packet_shards(), &budget, &noise);
+    let q = Queryable::from_shared_shards(trace.packet_shards(), &budget, &noise).with_ctx(ctx);
 
     // The paper's companion measurement: count payload groups with > 5
     // distinct sources and destinations, without revealing the payloads.
@@ -95,11 +74,7 @@ fn run_on_impl(
             presence_threshold: 50.0,
             ..WormConfig::default()
         };
-        let found = match pool {
-            None => worm_fingerprints(&q, &cfg),
-            Some(pool) => worm_fingerprints_with(&q, &cfg, pool),
-        }
-        .expect("budget");
+        let found = worm_fingerprints(&q, &cfg).expect("budget");
         let found_set: HashSet<Vec<u8>> = found.iter().map(|w| w.payload.clone()).collect();
         let recovered = exact.iter().filter(|p| found_set.contains(*p)).count();
         let false_positives = found_set.len() - recovered.min(found_set.len());
@@ -144,10 +119,9 @@ fn run_on_impl(
 mod tests {
     use super::*;
 
-    #[test]
-    fn recovery_grows_with_epsilon() {
-        // Reduced trace: same planted-worm structure, debug-mode friendly.
-        let trace = dpnet_trace::gen::hotspot::generate(dpnet_trace::gen::hotspot::HotspotConfig {
+    /// Reduced trace: same planted-worm structure, debug-mode friendly.
+    fn reduced_trace() -> dpnet_trace::gen::hotspot::HotspotTrace {
+        dpnet_trace::gen::hotspot::generate(dpnet_trace::gen::hotspot::HotspotConfig {
             web_flows: 400,
             worms_above_threshold: 24,
             worms_below_threshold: 6,
@@ -155,8 +129,12 @@ mod tests {
             interactive_decoys: 3,
             itemset_hosts: 20,
             ..Default::default()
-        });
-        let (r, report) = run_on(&trace);
+        })
+    }
+
+    #[test]
+    fn recovery_grows_with_epsilon() {
+        let (r, report) = run_on(&reduced_trace(), ExecCtx::Sequential);
         assert!(
             r.exact_count >= 20,
             "exact set too small: {}",
@@ -179,5 +157,15 @@ mod tests {
             r.exact_count
         );
         assert!(report.contains("E-WORM"));
+    }
+
+    #[test]
+    fn parallel_run_is_identical_to_sequential() {
+        let trace = reduced_trace();
+        let pool = pinq::ExecPool::new(2).unwrap();
+        assert_eq!(
+            run_on(&trace, ExecCtx::Sequential),
+            run_on(&trace, ExecCtx::pool(&pool))
+        );
     }
 }

@@ -25,8 +25,8 @@ use dpnet_obs::{
 };
 use pinq::explain::normalize_path;
 use pinq::{
-    install_explain_recorder, uninstall_explain_recorder, ExecPool, ExplainRecorder, ExplainReport,
-    Overlay,
+    install_explain_recorder, uninstall_explain_recorder, ExecCtx, ExecPool, ExplainRecorder,
+    ExplainReport, Overlay,
 };
 use std::io::BufWriter;
 use std::path::{Path, PathBuf};
@@ -101,7 +101,7 @@ impl ExplainOutcome {
 /// traced charges into a report; with `cfg.analyze`, profile the same run
 /// and attach the measured overlay.
 pub fn run_explained(cfg: &ExplainConfig) -> Result<ExplainOutcome, String> {
-    let pool = ExecPool::new(cfg.workers).map_err(|e| e.to_string())?;
+    let ctx = ExecCtx::Pool(ExecPool::new(cfg.workers).map_err(|e| e.to_string())?);
     let rec = Arc::new(ExplainRecorder::new());
     install_explain_recorder(rec.clone());
     let observers = cfg.analyze.then(|| {
@@ -113,7 +113,7 @@ pub fn run_explained(cfg: &ExplainConfig) -> Result<ExplainOutcome, String> {
     });
 
     let start = Instant::now();
-    let result = run_experiment(&cfg.experiment, &pool);
+    let result = run_experiment(&cfg.experiment, &ctx);
     let wall_ns = (start.elapsed().as_nanos() as u64).max(1);
 
     if observers.is_some() {

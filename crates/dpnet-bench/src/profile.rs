@@ -17,7 +17,7 @@ use dpnet_obs::{
     install_recorder, set_global_sink, uninstall_recorder, write_chrome_trace_aggregated,
     AggregatedSpans, MemorySink, SpanMode, TraceRecorder,
 };
-use pinq::ExecPool;
+use pinq::{ExecCtx, ExecPool};
 use std::io::BufWriter;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -45,18 +45,20 @@ pub const IDS: [&str; 18] = [
     "classify",
 ];
 
-/// Run one experiment by id on `pool`, returning its printable output.
-pub fn run_experiment(id: &str, pool: &ExecPool) -> Result<String, String> {
+/// Run one experiment by id, returning its printable output. The
+/// experiments whose queries take an execution context (`fig1`,
+/// `itemsets`, `worm`) run on `ctx`; the rest ignore it.
+pub fn run_experiment(id: &str, ctx: &ExecCtx) -> Result<String, String> {
     match id {
         "table1" => Ok(exp::table1::run(3000).1),
         "example23" => Ok(exp::example23::run(400).1),
-        "fig1" => exp::fig1::run_with(1.0, pool)
+        "fig1" => exp::fig1::run(1.0, ctx.clone())
             .map(|(_, s)| s)
             .map_err(|e| e.to_string()),
         "table4" => Ok(exp::table4::run(10, 1.0).1),
-        "itemsets" => Ok(exp::itemsets_exp::run_with(1.0, pool).1),
+        "itemsets" => Ok(exp::itemsets_exp::run(1.0, ctx.clone()).1),
         "fig2" => Ok(exp::fig2::run().1),
-        "worm" => Ok(exp::worm_exp::run_with(pool).1),
+        "worm" => Ok(exp::worm_exp::run(ctx.clone()).1),
         "fig3" => Ok(exp::fig3::run().1),
         "table5" => Ok(exp::table5::run().1),
         "fig4" => Ok(exp::fig4::run().1),
@@ -126,14 +128,14 @@ impl ProfileOutcome {
 /// attribution-bearing report (and optionally a Chrome trace), and check
 /// the overhead ceiling if one was requested.
 pub fn run_profiled(cfg: &ProfileConfig) -> Result<ProfileOutcome, String> {
-    let pool = ExecPool::new(cfg.workers).map_err(|e| e.to_string())?;
+    let ctx = ExecCtx::Pool(ExecPool::new(cfg.workers).map_err(|e| e.to_string())?);
 
     // Unprofiled baseline first: same pool, recorder not installed, so
     // the per-span cost reduces to one relaxed atomic load.
     let baseline_wall_ns = match cfg.max_overhead {
         Some(_) => {
             let start = Instant::now();
-            run_experiment(&cfg.experiment, &pool)?;
+            run_experiment(&cfg.experiment, &ctx)?;
             Some((start.elapsed().as_nanos() as u64).max(1))
         }
         None => None,
@@ -144,7 +146,7 @@ pub fn run_profiled(cfg: &ProfileConfig) -> Result<ProfileOutcome, String> {
     let rec = Arc::new(TraceRecorder::with_mode(cfg.span_mode));
     install_recorder(rec.clone());
     let start = Instant::now();
-    let result = run_experiment(&cfg.experiment, &pool);
+    let result = run_experiment(&cfg.experiment, &ctx);
     let profiled_wall_ns = (start.elapsed().as_nanos() as u64).max(1);
     uninstall_recorder();
     set_global_sink(None);
@@ -222,8 +224,7 @@ mod tests {
 
     #[test]
     fn unknown_ids_are_rejected() {
-        let pool = ExecPool::sequential();
-        assert!(run_experiment("nope", &pool).is_err());
+        assert!(run_experiment("nope", &ExecCtx::Sequential).is_err());
     }
 
     #[test]

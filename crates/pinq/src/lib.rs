@@ -58,7 +58,6 @@ pub mod exec;
 pub mod explain;
 pub mod kernel;
 pub mod mechanisms;
-pub mod parallel;
 mod plan;
 pub mod policy;
 pub mod queryable;

@@ -398,9 +398,9 @@ impl<T> Queryable<T> {
 
     /// A view of the same dataset whose noise draws come from a derived
     /// substream of the shared source (see [`NoiseSource::substream`]).
-    /// Used by parallel drivers to give each concurrent task its own
+    /// Used by [`Queryable::map_parts`] to give each part its own
     /// deterministic stream; must be called on the coordinating thread in
-    /// task order.
+    /// part order.
     pub(crate) fn with_substream(&self) -> Self {
         Queryable {
             data: self.data.clone(),
@@ -988,6 +988,59 @@ impl<T> Queryable<T> {
         // key-list length, not a record count.
         self.emit_transform("partition", 1.0, t.elapsed_ns(), keys.len());
         Ok(out)
+    }
+
+    /// Apply `f` to every part of a [`Queryable::partition`], returning
+    /// the results in part order. `f` may transform and aggregate freely.
+    ///
+    /// Each part is first re-bound to its own noise substream, derived in
+    /// part order on the calling thread, so the released values at a fixed
+    /// seed are the same in every context and for any worker count. `f`
+    /// runs on the parts' own context: inline under
+    /// [`ExecCtx::Sequential`], concurrently under [`ExecCtx::Pool`].
+    /// Accounting is untouched: the parts keep their shared ledger, whose
+    /// spends are thread-safe, so the source is still charged their maximum.
+    ///
+    /// ```
+    /// use pinq::{Accountant, ExecCtx, ExecPool, NoiseSource, Queryable};
+    ///
+    /// let budget = Accountant::new(1.0);
+    /// let noise = NoiseSource::seeded(1);
+    /// let pool = ExecPool::new(4).unwrap();
+    /// let data = Queryable::new((0..10_000u32).collect::<Vec<_>>(), &budget, &noise)
+    ///     .with_ctx(ExecCtx::pool(&pool));
+    /// let keys: Vec<u32> = (0..16).collect();
+    /// let parts = data.partition(&keys, |&x| x % 16).unwrap();
+    ///
+    /// // Sixteen noisy counts, measured concurrently, one ε charged.
+    /// let counts = Queryable::map_parts(&parts, |part| part.noisy_count(0.5));
+    /// assert_eq!(counts.len(), 16);
+    /// assert!((budget.spent() - 0.5).abs() < 1e-12);
+    /// ```
+    pub fn map_parts<R, F>(parts: &[Queryable<T>], f: F) -> Vec<R>
+    where
+        T: Send + Sync,
+        R: Send,
+        F: Fn(&Queryable<T>) -> R + Send + Sync,
+    {
+        let Some(first) = parts.first() else {
+            return Vec::new();
+        };
+        let prof = span::enter("map_parts");
+        prof.set_records(parts.len() as u64);
+        let t = SpanTimer::start();
+        let staged: Vec<Queryable<T>> = parts.iter().map(Queryable::with_substream).collect();
+        let out = match &first.ctx {
+            ExecCtx::Sequential => staged.iter().map(&f).collect(),
+            ExecCtx::Pool(pool) => pool.run(&staged, |_, part| f(part)),
+        };
+        first.emit_exec(
+            "map_parts",
+            first.ctx.workers(),
+            parts.len(),
+            t.elapsed_ns(),
+        );
+        out
     }
 
     /// Wrap materialized part buckets as queryables sharing one

@@ -19,7 +19,6 @@ use pinq::kernel::model::{
     predict, step, KernelState, LedgerBook, NodeId, NodeSpec, RootBudget, RootId, Transition,
     TOLERANCE,
 };
-use pinq::parallel::parallel_map_parts_with;
 use pinq::{Accountant, ExecPool, NoiseSource, Queryable};
 use proptest::prelude::*;
 
@@ -379,7 +378,7 @@ fn partition_facade_matches_sequential_kernel_replay_at_1_2_8_workers() {
         let keys: Vec<u32> = (0..n_parts as u32).collect();
         let parts = q.partition(&keys, |&v| v % n_parts as u32).unwrap();
         let pool = ExecPool::new(workers).unwrap();
-        let results = parallel_map_parts_with(&parts, &pool, |part| {
+        let results = pool.run(&parts, |_, part| {
             let mut ok = 0u32;
             for _ in 0..charges_per_part {
                 part.noisy_count(dyadic(eps_units))?;

@@ -4,7 +4,6 @@
 //! regardless of scheduling.
 
 use pinq::kernel::model::{step, KernelState, NodeSpec, RootBudget, Transition};
-use pinq::parallel::parallel_map_parts_with;
 use pinq::{Accountant, ExecCtx, ExecPool, NoiseSource, Queryable, SessionManager, TimedRelease};
 use proptest::prelude::*;
 
@@ -26,7 +25,7 @@ fn budget_exhaustion_race_admits_exactly_the_affordable_charges() {
         .map(|i| Queryable::new(vec![i as u32; 10], &acct, &noise))
         .collect();
     let pool = ExecPool::new(8).unwrap();
-    let results = parallel_map_parts_with(&datasets, &pool, |q| q.noisy_count(1.0));
+    let results = pool.run(&datasets, |_, q| q.noisy_count(1.0));
     let successes = results.iter().filter(|r| r.is_ok()).count();
     assert_eq!(successes, 5, "exactly floor(budget/eps) charges must fit");
     assert!(
@@ -48,7 +47,7 @@ fn concurrent_partition_counts_charge_only_the_max() {
     let keys: Vec<u32> = (0..16).collect();
     let parts = q.partition(&keys, |&v| v % 16).unwrap();
     let pool = ExecPool::new(8).unwrap();
-    let results = parallel_map_parts_with(&parts, &pool, |part| part.noisy_count(1.0));
+    let results = pool.run(&parts, |_, part| part.noisy_count(1.0));
     for r in &results {
         r.as_ref().expect("parallel composition affords every part");
     }
@@ -81,6 +80,77 @@ fn kernel_released_values_are_identical_for_workers_1_2_8() {
     let baseline = run(1);
     assert_eq!(run(2), baseline, "workers=2 diverged");
     assert_eq!(run(8), baseline, "workers=8 diverged");
+}
+
+/// The contexts `map_parts` is checked under: sequential, then pools of
+/// 1, 2 and 8 workers.
+fn contexts() -> Vec<ExecCtx> {
+    let mut ctxs = vec![ExecCtx::Sequential];
+    for workers in [1, 2, 8] {
+        ctxs.push(ExecCtx::Pool(ExecPool::new(workers).unwrap()));
+    }
+    ctxs
+}
+
+/// `map_parts` draws each part's noise from a substream derived in part
+/// order, so a fixed seed fixes every released value in every context.
+#[test]
+fn map_parts_releases_identical_values_in_every_context() {
+    let run = |ctx: ExecCtx| {
+        let (acct, q) = protect(10_000, 1e12, 0xD5);
+        let keys: Vec<u32> = (0..16).collect();
+        let parts = q.with_ctx(ctx).partition(&keys, |&x| x % 16).unwrap();
+        let counts = Queryable::map_parts(&parts, |p| p.noisy_count(0.5).unwrap());
+        (counts, acct.spent())
+    };
+    let mut ctxs = contexts().into_iter();
+    let baseline = run(ctxs.next().unwrap());
+    for ctx in ctxs {
+        let mode = format!("{} x{}", ctx.mode(), ctx.workers());
+        assert_eq!(run(ctx), baseline, "{mode} diverged");
+    }
+}
+
+/// A part that cannot afford its aggregation is refused on its own; the
+/// first round fits (max 0.2 ≤ 0.25), the second (max 0.4) does not.
+#[test]
+fn map_parts_reports_budget_refusal_per_part() {
+    for ctx in contexts() {
+        let (_, q) = protect(1000, 0.25, 3);
+        let keys: Vec<u32> = (0..4).collect();
+        let parts = q.with_ctx(ctx).partition(&keys, |&x| x % 4).unwrap();
+        let first = Queryable::map_parts(&parts, |p| p.noisy_count(0.2));
+        assert!(first.iter().all(|r| r.is_ok()));
+        let second = Queryable::map_parts(&parts, |p| p.noisy_count(0.2));
+        assert!(second.iter().all(|r| r.is_err()));
+    }
+}
+
+/// Multi-draw aggregations run inside the fan-out, and parallel
+/// composition still charges one part's spend.
+#[test]
+fn map_parts_runs_nested_medians_and_charges_the_max() {
+    for ctx in contexts() {
+        let (acct, q) = protect(10_000, 10.0, 3);
+        let keys: Vec<u32> = (0..8).collect();
+        let parts = q.with_ctx(ctx).partition(&keys, |&x| x % 8).unwrap();
+        let medians = Queryable::map_parts(&parts, |p| {
+            p.noisy_median(1.0, 0.0, 10_000.0, 100, |&x| f64::from(x))
+                .expect("budget")
+        });
+        assert_eq!(medians.len(), 8);
+        assert!((acct.spent() - 1.0).abs() < 1e-9, "spent {}", acct.spent());
+    }
+}
+
+#[test]
+fn map_parts_over_no_parts_is_empty() {
+    for ctx in contexts() {
+        let (acct, q) = protect(10, 100.0, 3);
+        let parts = q.with_ctx(ctx).partition(&[] as &[u32], |&x| x).unwrap();
+        assert!(Queryable::map_parts(&parts, |p| p.noisy_count(1.0)).is_empty());
+        assert_eq!(acct.spent(), 0.0);
+    }
 }
 
 proptest! {
