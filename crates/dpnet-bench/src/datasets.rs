@@ -28,7 +28,7 @@ pub fn hotspot() -> &'static HotspotTrace {
 /// order, so releases are bit-identical to views over the row vector.
 pub fn hotspot_shards() -> &'static Vec<Arc<Vec<Packet>>> {
     static CACHE: OnceLock<Vec<Arc<Vec<Packet>>>> = OnceLock::new();
-    CACHE.get_or_init(|| hotspot().packet_shards())
+    CACHE.get_or_init(|| hotspot::shard_packets(hotspot().packets.clone()))
 }
 
 /// A reduced Hotspot trace for quick runs and 1/10th-data experiments.

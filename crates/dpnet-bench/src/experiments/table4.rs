@@ -17,7 +17,7 @@ use std::collections::HashMap;
 pub struct Table4Row {
     /// The discovered string.
     pub string: Vec<u8>,
-    /// True count from the generator's ground truth.
+    /// True count: the exact prefix count in the trace.
     pub true_count: usize,
     /// Estimated (noisy) count.
     pub est_count: f64,
@@ -30,13 +30,9 @@ pub struct Table4Row {
 /// Run the top-`k` frequent string discovery at per-level accuracy `eps`.
 pub fn run(k: usize, eps: f64) -> (Vec<Table4Row>, String) {
     let trace = datasets::hotspot();
-    let truth: HashMap<Vec<u8>, usize> = trace.truth.payload_counts.iter().cloned().collect();
-    let true_order: Vec<Vec<u8>> = trace
-        .truth
-        .payload_counts
-        .iter()
-        .map(|(s, _)| s.clone())
-        .collect();
+    let payload_counts = trace.payload_counts(8);
+    let truth: HashMap<Vec<u8>, usize> = payload_counts.iter().cloned().collect();
+    let true_order: Vec<Vec<u8>> = payload_counts.iter().map(|(s, _)| s.clone()).collect();
 
     let budget = Accountant::new(1e9);
     let noise = NoiseSource::seeded(0x7ab4e4);
@@ -46,9 +42,7 @@ pub fn run(k: usize, eps: f64) -> (Vec<Table4Row>, String) {
         .map(|p| p.payload[..8].to_vec());
 
     // Threshold well below the k-th true count so ranking is the test.
-    let kth_count = trace
-        .truth
-        .payload_counts
+    let kth_count = payload_counts
         .get(k.saturating_sub(1))
         .map(|(_, c)| *c)
         .unwrap_or(0) as f64;

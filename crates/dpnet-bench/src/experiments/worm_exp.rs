@@ -8,6 +8,7 @@
 use crate::datasets::{self, EPSILONS};
 use crate::report::{f, header, Table};
 use dpnet_analyses::worm::{worm_fingerprints, worm_fingerprints_exact, WormConfig};
+use dpnet_trace::gen::hotspot::shard_packets;
 use dpnet_trace::FlowKey;
 use pinq::{Accountant, ExecCtx, NoiseSource, Queryable};
 use std::collections::HashSet;
@@ -51,9 +52,10 @@ pub fn run_on(
 
     let budget = Accountant::new(1e9);
     let noise = NoiseSource::seeded(0x3042);
-    // Generator-emitted shards: the trace enters the engine pre-chunked
-    // (flat order unchanged, so releases are identical to a flat source).
-    let q = Queryable::from_shared_shards(trace.packet_shards(), &budget, &noise).with_ctx(ctx);
+    // The trace enters the engine pre-chunked (flat order unchanged, so
+    // releases are identical to a flat source).
+    let shards = shard_packets(trace.packets.clone());
+    let q = Queryable::from_shared_shards(shards, &budget, &noise).with_ctx(ctx);
 
     // The paper's companion measurement: count payload groups with > 5
     // distinct sources and destinations, without revealing the payloads.

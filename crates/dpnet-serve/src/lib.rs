@@ -37,29 +37,10 @@ pub use loadtest::{run_loadtest, LoadtestConfig, LoadtestOutcome};
 pub use protocol::{ErrorKind, Request, Response, ServeError, MAX_FRAME};
 pub use server::{serve, ServeConfig, ServerHandle};
 
-use dpnet_trace::Packet;
-use std::sync::Arc;
-
-/// Chunk a flat packet vector into shards sized for the worker pool
-/// (`8 × DEFAULT_CHUNK` records each): the one-time load the daemon does
-/// before accepting sessions. A pre-sharded trace can be passed to
-/// [`serve`] directly instead.
-///
-/// Shards are cut from the back, so each cut copies only its own records,
-/// and every shard holds exactly its records: the input's spare capacity
-/// is released rather than kept alive for the daemon's lifetime.
-pub fn shard_packets(mut packets: Vec<Packet>) -> Vec<Arc<Vec<Packet>>> {
-    const SHARD: usize = 8 * 8192;
-    let mut out = Vec::with_capacity(packets.len() / SHARD + 1);
-    while packets.len() > SHARD {
-        let start = (packets.len() - 1) / SHARD * SHARD;
-        out.push(Arc::new(packets.split_off(start)));
-    }
-    packets.shrink_to_fit();
-    out.push(Arc::new(packets));
-    out.reverse();
-    out
-}
+/// Chunk a flat packet vector into shards sized for the worker pool: the
+/// one-time load the daemon does before accepting sessions. A pre-sharded
+/// trace can be passed to [`serve`] directly instead.
+pub use dpnet_trace::gen::hotspot::shard_packets;
 
 #[cfg(test)]
 pub(crate) mod testdata {
@@ -83,27 +64,5 @@ pub(crate) mod testdata {
                 payload: Vec::new().into(),
             })
             .collect()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn sharding_preserves_order_and_length() {
-        let packets: Vec<Packet> = Vec::new();
-        assert_eq!(shard_packets(packets).len(), 1);
-
-        let many = testdata::packets(3 * 8 * 8192 / 2);
-        let flat: Vec<Packet> = many.clone();
-        let shards = shard_packets(many);
-        assert!(shards.len() > 1);
-        assert!(shards[..shards.len() - 1]
-            .iter()
-            .all(|s| s.len() == 8 * 8192));
-        assert!(shards.iter().all(|s| s.capacity() == s.len()));
-        let rejoined: Vec<Packet> = shards.iter().flat_map(|s| s.iter().cloned()).collect();
-        assert_eq!(rejoined, flat);
     }
 }

@@ -138,8 +138,6 @@ pub struct StoneTruth {
 /// Everything the generator planted, for experiment scoring.
 #[derive(Debug, Clone, Default)]
 pub struct HotspotTruth {
-    /// Frequent payload strings with their exact copy counts, descending.
-    pub payload_counts: Vec<(Vec<u8>, usize)>,
     /// Worm payloads with true dispersion (both above and below threshold).
     pub worms: Vec<WormTruth>,
     /// Stepping-stone pairs.
@@ -158,16 +156,37 @@ pub struct HotspotTruth {
 /// The generated trace plus its ground truth.
 #[derive(Debug, Clone)]
 pub struct HotspotTrace {
-    /// Packets, sorted by timestamp.
+    /// Packets in timestamp order; packets with equal timestamps keep the
+    /// order in which the generator emitted them.
     pub packets: Vec<Packet>,
     /// What was planted.
     pub truth: HotspotTruth,
 }
 
-/// Records per shard emitted by [`HotspotTrace::packet_shards`]: large
-/// enough that shard bookkeeping is negligible, small enough that a pool's
-/// fixed-size task chunks overlap several shards.
+/// Records per shard cut by [`shard_packets`]: large enough that shard
+/// bookkeeping is negligible, small enough that a pool's fixed-size task
+/// chunks overlap several shards.
 pub const SHARD_RECORDS: usize = 1 << 16;
+
+/// Cut a flat packet vector into `Arc`-shared shards of [`SHARD_RECORDS`]
+/// packets, in input order — the form protected views are built from
+/// (`pinq::Queryable::from_shared_shards`) and the daemon serves, so every
+/// run and session reuses the same chunks without copying the trace.
+///
+/// Shards are cut from the back, so each cut copies only its own records,
+/// and every shard holds exactly its records: the input's spare capacity
+/// is released rather than kept alive with the shards.
+pub fn shard_packets(mut packets: Vec<Packet>) -> Vec<Arc<Vec<Packet>>> {
+    let mut out = Vec::with_capacity(packets.len() / SHARD_RECORDS + 1);
+    while packets.len() > SHARD_RECORDS {
+        let start = (packets.len() - 1) / SHARD_RECORDS * SHARD_RECORDS;
+        out.push(Arc::new(packets.split_off(start)));
+    }
+    packets.shrink_to_fit();
+    out.push(Arc::new(packets));
+    out.reverse();
+    out
+}
 
 impl HotspotTrace {
     /// The trace in columnar (SoA, dictionary-encoded) form. Payloads come
@@ -177,15 +196,27 @@ impl HotspotTrace {
         crate::columns::PacketColumns::from_packets(&self.packets)
     }
 
-    /// The trace as `Arc`-shared row shards of [`SHARD_RECORDS`] packets,
-    /// in timestamp order — the form protected views are built from
-    /// (`pinq::Queryable::from_shared_shards`) without cloning the trace
-    /// per experiment run.
-    pub fn packet_shards(&self) -> Vec<std::sync::Arc<Vec<Packet>>> {
-        self.packets
-            .chunks(SHARD_RECORDS)
-            .map(|c| std::sync::Arc::new(c.to_vec()))
-            .collect()
+    /// Exact counts of every `len`-byte payload prefix that occurs more
+    /// than once in the trace, by count descending, then by bytes. This is
+    /// the ground truth of the frequent-string experiments (Table 4): they
+    /// measure the trace, not just the pool, so repeated request bytes,
+    /// interactive payloads and worm payloads all count. Computed on each
+    /// call; only the experiments that score against it pay for it.
+    pub fn payload_counts(&self, len: usize) -> Vec<(Vec<u8>, usize)> {
+        let mut prefix_counts: std::collections::HashMap<&[u8], usize> =
+            std::collections::HashMap::new();
+        for p in &self.packets {
+            if p.payload.len() >= len {
+                *prefix_counts.entry(&p.payload[..len]).or_default() += 1;
+            }
+        }
+        let mut counts: Vec<(Vec<u8>, usize)> = prefix_counts
+            .into_iter()
+            .filter(|(_, c)| *c > 1)
+            .map(|(prefix, c)| (prefix.to_vec(), c))
+            .collect();
+        counts.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        counts
     }
 }
 
@@ -200,6 +231,10 @@ const ACK_LEN: u16 = 40; // pure TCP acknowledgment
 struct Gen {
     rng: StdRng,
     cfg: HotspotConfig,
+    /// Destination-port popularity of web flows, over [`COMMON_PORTS`].
+    port_zipf: Zipf,
+    /// Reused buffer for fresh random payloads, `payload_len` bytes.
+    payload_buf: Vec<u8>,
     packets: Vec<Packet>,
     truth: HotspotTruth,
     next_client: u32,
@@ -210,6 +245,8 @@ impl Gen {
     fn new(cfg: HotspotConfig) -> Self {
         Gen {
             rng: StdRng::seed_from_u64(cfg.seed),
+            port_zipf: Zipf::new(COMMON_PORTS.len(), 1.1),
+            payload_buf: vec![0; cfg.payload_len],
             cfg,
             packets: Vec::new(),
             truth: HotspotTruth::default(),
@@ -304,8 +341,7 @@ impl Gen {
         let sport: u16 = self.rng.gen_range(32768..61000);
         // Port popularity: Zipf over the common list, occasionally random.
         let dport = if self.rng.gen::<f64>() < 0.92 {
-            let port_zipf = Zipf::new(COMMON_PORTS.len(), 1.1);
-            COMMON_PORTS[port_zipf.sample(&mut self.rng)]
+            COMMON_PORTS[self.port_zipf.sample(&mut self.rng)]
         } else {
             self.rng.gen_range(1024..65535)
         };
@@ -508,9 +544,8 @@ impl Gen {
             let payload = if dlen >= self.cfg.payload_len && self.rng.gen::<f64>() < 0.7 {
                 pool[zipf.sample(&mut self.rng)].clone()
             } else {
-                let mut p = vec![0u8; self.cfg.payload_len];
-                self.rng.fill(&mut p[..]);
-                p.into()
+                self.rng.fill(&mut self.payload_buf[..]);
+                Arc::from(&self.payload_buf[..])
             };
 
             let wire_len = (ACK_LEN as usize + dlen).min(u16::MAX as usize) as u16;
@@ -805,27 +840,10 @@ impl Gen {
         self.stepping_stones();
         self.port_itemsets();
 
-        // Record exact counts of every 8-byte payload prefix in the final
-        // trace (not just the pool): the frequent-string experiments measure
-        // the trace, and repeated request bytes, interactive payloads, and
-        // worm payloads are all genuine frequent strings in it.
-        let plen = self.cfg.payload_len;
-        let mut prefix_counts: std::collections::HashMap<&[u8], usize> =
-            std::collections::HashMap::new();
-        for p in &self.packets {
-            if p.payload.len() >= plen {
-                *prefix_counts.entry(&p.payload[..plen]).or_default() += 1;
-            }
-        }
-        let mut counts: Vec<(Vec<u8>, usize)> = prefix_counts
-            .into_iter()
-            .filter(|(_, c)| *c > 1)
-            .map(|(prefix, c)| (prefix.to_vec(), c))
-            .collect();
-        counts.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        self.truth.payload_counts = counts;
-
-        self.packets.sort_by_key(|p| p.ts_us);
+        // Stable, so equal timestamps keep emission order. Sorting cached
+        // (timestamp, index) keys and then permuting in place moves each
+        // packet once instead of on every merge pass.
+        self.packets.sort_by_cached_key(|p| p.ts_us);
         HotspotTrace {
             packets: self.packets,
             truth: self.truth,
@@ -834,7 +852,19 @@ impl Gen {
 }
 
 /// Generate a Hotspot-style trace from the given configuration.
+///
+/// # Panics
+/// Panics if `payload_pool` exceeds the `256^payload_len` distinct
+/// `payload_len`-byte strings that exist: the pool must be distinct.
 pub fn generate(cfg: HotspotConfig) -> HotspotTrace {
+    // 256^8 already exceeds any `usize`; powers of two are exact in f64.
+    let distinct = 256f64.powi(cfg.payload_len.min(8) as i32);
+    assert!(
+        cfg.payload_pool as f64 <= distinct,
+        "payload_pool ({}) exceeds the {distinct} distinct strings of payload_len ({}) bytes",
+        cfg.payload_pool,
+        cfg.payload_len
+    );
     Gen::new(cfg).run()
 }
 
@@ -945,17 +975,52 @@ mod tests {
     #[test]
     fn payload_counts_are_exact_and_sorted() {
         let t = small();
-        assert!(t.truth.payload_counts.len() > 50);
-        assert!(t.truth.payload_counts.windows(2).all(|w| w[0].1 >= w[1].1));
-        // Spot-check the top string's count against the trace (truth counts
-        // 8-byte payload prefixes).
-        let (top, n) = &t.truth.payload_counts[0];
+        let counts = t.payload_counts(8);
+        assert!(counts.len() > 50);
+        assert!(counts.iter().all(|(s, c)| s.len() == 8 && *c > 1));
+        // Count descending, ties by bytes.
+        assert!(counts
+            .windows(2)
+            .all(|w| w[0].1 > w[1].1 || (w[0].1 == w[1].1 && w[0].0 < w[1].0)));
+        // Spot-check the top string's count against the trace.
+        let (top, n) = &counts[0];
         let actual = t
             .packets
             .iter()
             .filter(|p| p.payload.len() >= top.len() && p.payload[..top.len()] == top[..])
             .count();
         assert_eq!(actual, *n);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "payload_pool (400) exceeds the 256 distinct strings of payload_len (1)"
+    )]
+    fn payload_pool_larger_than_the_distinct_strings_is_refused() {
+        generate(HotspotConfig {
+            payload_len: 1,
+            ..HotspotConfig::default()
+        });
+    }
+
+    #[test]
+    fn sharding_preserves_order_and_length() {
+        assert_eq!(shard_packets(Vec::new()).len(), 1);
+
+        let t = small();
+        let many: Vec<Packet> = t
+            .packets
+            .iter()
+            .cycle()
+            .take(3 * SHARD_RECORDS / 2)
+            .cloned()
+            .collect();
+        let shards = shard_packets(many.clone());
+        assert_eq!(shards.len(), 2);
+        assert_eq!(shards[0].len(), SHARD_RECORDS);
+        assert!(shards.iter().all(|s| s.capacity() == s.len()));
+        let rejoined: Vec<Packet> = shards.iter().flat_map(|s| s.iter().cloned()).collect();
+        assert_eq!(rejoined, many);
     }
 
     #[test]

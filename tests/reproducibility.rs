@@ -7,6 +7,12 @@ use dpnet::toolkit::cdf::cdf_partition;
 use dpnet::trace::gen::hotspot::{generate, HotspotConfig};
 use dpnet::trace::gen::isp::{self, IspConfig};
 use dpnet::trace::gen::scatter::{self, ScatterConfig};
+use dpnet::trace::Packet;
+
+/// Digests of the two configs of `hotspot_traces_match_pinned_digests`,
+/// recorded before the generator's sort and emission were optimised.
+const SMALL_DIGEST: u64 = 0xf8f0_741d_bfc4_ae5a;
+const SHORT_DIGEST: u64 = 0x15c4_c4a5_8a8a_118b;
 
 fn cfg() -> HotspotConfig {
     HotspotConfig {
@@ -25,8 +31,68 @@ fn hotspot_generation_is_bit_reproducible() {
     let a = generate(cfg());
     let b = generate(cfg());
     assert_eq!(a.packets, b.packets);
-    assert_eq!(a.truth.payload_counts, b.truth.payload_counts);
+    assert_eq!(a.payload_counts(8), b.payload_counts(8));
     assert_eq!(a.truth.worms.len(), b.truth.worms.len());
+}
+
+/// FNV-1a over every packet field, in trace order (the benchmark's
+/// `trace_digest`).
+fn trace_digest(packets: &[Packet]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for p in packets {
+        eat(&p.ts_us.to_le_bytes());
+        eat(&p.src_ip.to_le_bytes());
+        eat(&p.dst_ip.to_le_bytes());
+        eat(&p.src_port.to_le_bytes());
+        eat(&p.dst_port.to_le_bytes());
+        eat(&[p.proto.number()]);
+        eat(&p.len.to_le_bytes());
+        eat(&[p.flags.0]);
+        eat(&p.seq.to_le_bytes());
+        eat(&p.ack.to_le_bytes());
+        eat(&(p.payload.len() as u64).to_le_bytes());
+        eat(&p.payload);
+    }
+    h
+}
+
+/// Pins the generator's exact output, so a faster generator cannot change
+/// a trace. The short trace packs its packets into 5 s, so many adjacent
+/// packets share a timestamp: its digest also pins the tie order (emission
+/// order).
+#[test]
+fn hotspot_traces_match_pinned_digests() {
+    let small = HotspotConfig {
+        web_flows: 300,
+        worms_above_threshold: 5,
+        worms_below_threshold: 3,
+        stepping_stone_pairs: 3,
+        interactive_decoys: 4,
+        itemset_hosts: 40,
+        ..HotspotConfig::default()
+    };
+    let short = HotspotConfig {
+        duration_s: 5.0,
+        ..small.clone()
+    };
+    let a = generate(small);
+    let b = generate(short);
+    let ties = b
+        .packets
+        .windows(2)
+        .filter(|w| w[0].ts_us == w[1].ts_us && w[0] != w[1])
+        .count();
+    assert!(
+        ties > 0,
+        "the short trace has no equal-timestamp neighbours"
+    );
+    assert_eq!(trace_digest(&a.packets), SMALL_DIGEST);
+    assert_eq!(trace_digest(&b.packets), SHORT_DIGEST);
 }
 
 #[test]
