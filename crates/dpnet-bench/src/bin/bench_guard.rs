@@ -65,13 +65,11 @@
 //! structure or privacy-cost arithmetic fails the build, while noise draws
 //! and wall times cannot.
 
-use dpnet_bench::profile::run_experiment;
+use dpnet_bench::profile::{run_instrumented, Observe};
 use dpnet_bench::report::{RunReport, SCHEMA_VERSION};
-use dpnet_obs::{set_global_sink, MemorySink};
 use dpnet_trace::gen::scatter::{generate_with, ScatterConfig};
 use pinq::{Accountant, ExecCtx, ExecPool, NoiseSource, Queryable};
 use std::process::exit;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// First `"key":<number>` occurrence in `json`, parsed as u64.
@@ -513,19 +511,21 @@ fn cmd_record(out_dir: &str, ids: &[String]) -> i32 {
         ids.iter().map(String::as_str).collect()
     };
     let ctx = ExecCtx::Pool(ExecPool::sequential());
-    let sink = Arc::new(MemorySink::new());
-    set_global_sink(Some(sink.clone()));
     let mut report = RunReport::new("baseline");
     report.set_workers(1);
+    let observe = Observe {
+        events: true,
+        ..Observe::default()
+    };
     let mut failed = false;
     for id in &ids {
-        sink.clear();
-        let start = Instant::now();
-        match run_experiment(id, &ctx) {
-            Ok(_) => {
-                let wall = start.elapsed();
-                println!("[{id} recorded in {wall:.1?}]");
-                report.record(id, wall.as_nanos() as u64, &sink.drain());
+        match run_instrumented(id, &ctx, observe) {
+            Ok(run) => {
+                println!(
+                    "[{id} recorded in {:.1?}]",
+                    std::time::Duration::from_nanos(run.wall_ns)
+                );
+                report.record(id, run.wall_ns, &run.events, &run.spans, &run.aggregated);
             }
             Err(e) => {
                 eprintln!("experiment {id} failed: {e}");
@@ -533,7 +533,6 @@ fn cmd_record(out_dir: &str, ids: &[String]) -> i32 {
             }
         }
     }
-    set_global_sink(None);
     if failed {
         return 1;
     }

@@ -20,15 +20,14 @@
 //! report target gains a `-wN` suffix when N > 1, so `BENCH_fig1.json` and
 //! `BENCH_fig1-w4.json` can be compared side by side.
 //!
-//! A [`MemorySink`] is installed as the process-global event sink for the
-//! whole run, so every engine charge and toolkit phase is captured. After
-//! the experiment output, `repro` prints a per-phase ε/latency budget
-//! report and writes `bench-reports/BENCH_<target>.json` with the same
-//! data in machine-readable form.
+//! Each experiment runs through [`run_instrumented`], which captures every
+//! engine charge and toolkit phase in an event sink. After the experiment
+//! output, `repro` prints a per-phase ε/latency budget report and writes
+//! `bench-reports/BENCH_<target>.json` with the same data in
+//! machine-readable form.
 //!
-//! With `--profile`, a [`dpnet_obs::TraceRecorder`] is installed too: every
-//! operator span is captured, the report gains per-operator time
-//! attribution, and an attribution table is printed after the budget
+//! With `--profile`, spans are recorded too: the report gains per-operator
+//! time attribution, and an attribution table is printed after the budget
 //! report. (For single-experiment profiled runs with a Chrome trace, use
 //! `dpnet profile` instead.)
 //!
@@ -39,15 +38,12 @@
 //! (For a single experiment with the measured overlay or the DOT/JSON
 //! forms, use `dpnet explain` instead.)
 
-use dpnet_bench::profile::{run_experiment, IDS};
+use dpnet_bench::profile::{run_instrumented, Observe, IDS};
 use dpnet_bench::report::RunReport;
-use dpnet_obs::{install_recorder, set_global_sink, uninstall_recorder, MemorySink, TraceRecorder};
-use pinq::{
-    install_explain_recorder, uninstall_explain_recorder, ExecCtx, ExecPool, ExplainRecorder,
-};
+use dpnet_obs::SpanMode;
+use pinq::{ExecCtx, ExecPool, ExplainReport};
 use std::path::Path;
-use std::sync::Arc;
-use std::time::Instant;
+use std::time::Duration;
 
 /// Split `--workers N` / `--workers=N` / `--profile` / `--explain` out of
 /// the raw argument list, returning the worker count, the two flags, and
@@ -80,9 +76,7 @@ fn parse_flags(raw: Vec<String>) -> Result<(usize, bool, bool, Vec<String>), Str
 }
 
 /// Write one experiment's explain tree to `bench-reports/EXPLAIN_<id>.txt`.
-fn write_explain(id: &str, recorder: &ExplainRecorder) -> Result<std::path::PathBuf, String> {
-    let mut report = recorder.report();
-    report.title = id.to_string();
+fn write_explain(id: &str, report: &ExplainReport) -> Result<std::path::PathBuf, String> {
     let dir = Path::new("bench-reports");
     std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
     let path = dir.join(format!("EXPLAIN_{id}.txt"));
@@ -120,19 +114,6 @@ fn main() {
     } else {
         args.iter().map(|s| s.as_str()).collect()
     };
-    // Observe the whole run: toolkit phases and engine charges land here.
-    let sink = Arc::new(MemorySink::new());
-    set_global_sink(Some(sink.clone()));
-    let recorder = profile.then(|| {
-        let rec = Arc::new(TraceRecorder::new());
-        install_recorder(rec.clone());
-        rec
-    });
-    let explainer = explain.then(|| {
-        let rec = Arc::new(ExplainRecorder::new());
-        install_explain_recorder(rec.clone());
-        rec
-    });
     let mut target = if all {
         "all".to_string()
     } else {
@@ -144,25 +125,23 @@ fn main() {
     let mut report = RunReport::new(&target);
     report.set_workers(workers);
 
+    let observe = Observe {
+        events: true,
+        spans: profile.then_some(SpanMode::Full),
+        explain,
+    };
     let mut failed = false;
     for id in ids {
-        sink.clear();
-        if let Some(rec) = &recorder {
-            rec.clear();
-        }
-        if let Some(rec) = &explainer {
-            rec.clear();
-        }
-        let start = Instant::now();
-        match run_experiment(id, &ctx) {
-            Ok(text) => {
-                let wall = start.elapsed();
-                println!("{text}");
-                println!("[{id} completed in {wall:.1?}]");
-                let spans = recorder.as_ref().map(|r| r.take()).unwrap_or_default();
-                report.record_with_spans(id, wall.as_nanos() as u64, &sink.drain(), &spans);
-                if let Some(rec) = &explainer {
-                    match write_explain(id, rec) {
+        match run_instrumented(id, &ctx, observe) {
+            Ok(run) => {
+                println!("{}", run.output);
+                println!(
+                    "[{id} completed in {:.1?}]",
+                    Duration::from_nanos(run.wall_ns)
+                );
+                report.record(id, run.wall_ns, &run.events, &run.spans, &run.aggregated);
+                if let Some(explained) = &run.explain {
+                    match write_explain(id, explained) {
                         Ok(path) => println!("explain report: {}", path.display()),
                         Err(e) => {
                             eprintln!("could not write explain report for {id}: {e}");
@@ -177,13 +156,6 @@ fn main() {
             }
         }
     }
-    if recorder.is_some() {
-        uninstall_recorder();
-    }
-    if explainer.is_some() {
-        uninstall_explain_recorder();
-    }
-    set_global_sink(None);
 
     println!("{}", report.render_budget_report());
     let attribution = report.render_attribution_report();

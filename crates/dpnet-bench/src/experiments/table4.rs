@@ -36,7 +36,7 @@ pub fn run(k: usize, eps: f64) -> (Vec<Table4Row>, String) {
 
     let budget = Accountant::new(1e9);
     let noise = NoiseSource::seeded(0x7ab4e4);
-    let q = Queryable::new(trace.packets.clone(), &budget, &noise);
+    let q = Queryable::from_shared_shards(datasets::hotspot_shards().clone(), &budget, &noise);
     let payloads = q
         .filter(|p| p.payload.len() >= 8)
         .map(|p| p.payload[..8].to_vec());

@@ -9,9 +9,10 @@ use crate::datasets::{self, EPSILONS};
 use crate::report::{f, header, Table};
 use dpnet_analyses::worm::{worm_fingerprints, worm_fingerprints_exact, WormConfig};
 use dpnet_trace::gen::hotspot::shard_packets;
-use dpnet_trace::FlowKey;
+use dpnet_trace::{FlowKey, Packet};
 use pinq::{Accountant, ExecCtx, NoiseSource, Queryable};
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// Recovery result per privacy level.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,7 +40,8 @@ pub struct WormResult {
 /// Run the worm experiment over the standard Hotspot trace, on `ctx`. The
 /// released values are the same in every context and for any worker count.
 pub fn run(ctx: ExecCtx) -> (WormResult, String) {
-    run_on(datasets::hotspot(), ctx)
+    let shards = datasets::hotspot_shards().clone();
+    run_shards(&datasets::hotspot().packets, shards, ctx)
 }
 
 /// [`run`] over a caller-supplied trace (used by tests to keep debug-mode
@@ -48,13 +50,21 @@ pub fn run_on(
     trace: &dpnet_trace::gen::hotspot::HotspotTrace,
     ctx: ExecCtx,
 ) -> (WormResult, String) {
-    let exact = worm_fingerprints_exact(&trace.packets, 8, 50, 50);
+    run_shards(&trace.packets, shard_packets(trace.packets.clone()), ctx)
+}
+
+/// The experiment over `packets`, which enter the engine pre-cut into
+/// `shards` (flat order unchanged, so releases are identical to a flat
+/// source).
+fn run_shards(
+    packets: &[Packet],
+    shards: Vec<Arc<Vec<Packet>>>,
+    ctx: ExecCtx,
+) -> (WormResult, String) {
+    let exact = worm_fingerprints_exact(packets, 8, 50, 50);
 
     let budget = Accountant::new(1e9);
     let noise = NoiseSource::seeded(0x3042);
-    // The trace enters the engine pre-chunked (flat order unchanged, so
-    // releases are identical to a flat source).
-    let shards = shard_packets(trace.packets.clone());
     let q = Queryable::from_shared_shards(shards, &budget, &noise).with_ctx(ctx);
 
     // The paper's companion measurement: count payload groups with > 5

@@ -10,28 +10,19 @@
 //! accountants actually applied — the CI golden diff and the
 //! `explain_integration` test hold it to `Accountant::path_totals`.
 //!
-//! With `analyze: true`, the run also installs the span profiler and a
-//! [`MemorySink`], and folds measured reality into a [`pinq::Overlay`]:
-//! net ε per charge path (from the accountant's charge events), span
-//! self-time per operator, and plan-materialization counts. The optional
+//! With `analyze: true`, the run also records spans, and folds measured
+//! reality into a [`pinq::Overlay`]: net ε per charge path (from the
+//! accountant's charge events), span self-time per operator, and
+//! plan-materialization counts (from `plan/materialize` spans). The optional
 //! Chrome trace gains one `"ph":"C"` counter track per budget — the ε
 //! burn-down, rendered by Perfetto as a stepped chart next to the worker
 //! lanes.
 
-use crate::profile::run_experiment;
-use dpnet_obs::{
-    attribution, install_recorder, set_global_sink, uninstall_recorder, CompletedSpan,
-    CounterSample, Event, MemorySink, TraceRecorder,
-};
+use crate::profile::{run_instrumented, write_trace, Observe};
+use dpnet_obs::{attribution, CompletedSpan, CounterSample, Event, SpanMode};
 use pinq::explain::normalize_path;
-use pinq::{
-    install_explain_recorder, uninstall_explain_recorder, ExecCtx, ExecPool, ExplainRecorder,
-    ExplainReport, Overlay,
-};
-use std::io::BufWriter;
-use std::path::{Path, PathBuf};
-use std::sync::Arc;
-use std::time::Instant;
+use pinq::{ExecCtx, ExecPool, ExplainReport, Overlay};
+use std::path::PathBuf;
 
 /// How an explain report should be rendered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -102,53 +93,35 @@ impl ExplainOutcome {
 /// and attach the measured overlay.
 pub fn run_explained(cfg: &ExplainConfig) -> Result<ExplainOutcome, String> {
     let ctx = ExecCtx::Pool(ExecPool::new(cfg.workers).map_err(|e| e.to_string())?);
-    let rec = Arc::new(ExplainRecorder::new());
-    install_explain_recorder(rec.clone());
-    let observers = cfg.analyze.then(|| {
-        let sink = Arc::new(MemorySink::new());
-        set_global_sink(Some(sink.clone()));
-        let tracer = Arc::new(TraceRecorder::new());
-        install_recorder(tracer.clone());
-        (sink, tracer)
-    });
-
-    let start = Instant::now();
-    let result = run_experiment(&cfg.experiment, &ctx);
-    let wall_ns = (start.elapsed().as_nanos() as u64).max(1);
-
-    if observers.is_some() {
-        uninstall_recorder();
-        set_global_sink(None);
-    }
-    uninstall_explain_recorder();
-    let output = result?;
-
-    let mut report = rec.report();
-    report.title = cfg.experiment.clone();
-
+    let observe = Observe {
+        events: cfg.analyze,
+        spans: cfg.analyze.then_some(SpanMode::Full),
+        explain: true,
+    };
+    let run = run_instrumented(&cfg.experiment, &ctx, observe)?;
     let mut overlay = None;
     let mut trace_path = None;
-    if let Some((sink, tracer)) = observers {
-        let events = sink.drain();
-        let spans = tracer.take();
-        let (folded, counters) = fold_overlay(&events, &spans, wall_ns);
+    if cfg.analyze {
+        let (folded, counters) = fold_overlay(&run.events, &run.spans, run.wall_ns);
         if let Some(path) = &cfg.trace_out {
-            write_analyze_trace(path, &spans, &tracer, &counters)?;
+            write_trace(path, &run, &counters)?;
             trace_path = Some(path.clone());
         }
         overlay = Some(folded);
     }
     Ok(ExplainOutcome {
-        report,
+        report: run.explain.expect("the explain recorder was installed"),
         overlay,
-        output,
+        output: run.output,
         trace_path,
     })
 }
 
 /// Fold a profiled run's events and spans into the measured overlay, plus
 /// the ε burn-down counter samples (one per accountant charge, valued at
-/// the budget's cumulative spend after that charge).
+/// the budget's cumulative spend after that charge). Materializations are
+/// the `plan/materialize` spans that carry a fused-stage width: only a
+/// force that actually ran sets it.
 pub fn fold_overlay(
     events: &[Event],
     spans: &[CompletedSpan],
@@ -160,53 +133,29 @@ pub fn fold_overlay(
     };
     let mut counters = Vec::new();
     for event in events {
-        match event {
-            Event::Charge(c) => {
-                let norm = normalize_path(&c.path);
-                *overlay.measured_paths.entry(norm.clone()).or_default() += c.epsilon;
-                *overlay
-                    .measured_aggs
-                    .entry((c.operator.to_string(), norm))
-                    .or_default() += c.epsilon;
-                counters.push(CounterSample {
-                    name: format!("eps spent ({})", c.label.as_deref().unwrap_or("budget")),
-                    series: "eps",
-                    at_ns: c.at_ns,
-                    value: c.spent_after,
-                });
-            }
-            Event::Plan(p) => {
-                overlay.materializations += 1;
-                overlay.max_fused_stages = overlay.max_fused_stages.max(p.fused_stages);
-            }
-            _ => {}
+        if let Event::Charge(c) = event {
+            let norm = normalize_path(&c.path);
+            *overlay.measured_paths.entry(norm.clone()).or_default() += c.epsilon;
+            *overlay
+                .measured_aggs
+                .entry((c.operator.to_string(), norm))
+                .or_default() += c.epsilon;
+            counters.push(CounterSample {
+                name: format!("eps spent ({})", c.label.as_deref().unwrap_or("budget")),
+                series: "eps",
+                at_ns: c.at_ns,
+                value: c.spent_after,
+            });
         }
     }
-    for row in attribution(spans) {
+    for fused in spans.iter().filter_map(|s| s.fused_stages) {
+        overlay.materializations += 1;
+        overlay.max_fused_stages = overlay.max_fused_stages.max(fused);
+    }
+    for row in attribution(spans, &[]) {
         *overlay.self_ns.entry(row.name).or_default() += row.self_ns;
     }
     (overlay, counters)
-}
-
-fn write_analyze_trace(
-    path: &Path,
-    spans: &[CompletedSpan],
-    tracer: &TraceRecorder,
-    counters: &[CounterSample],
-) -> Result<(), String> {
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-    }
-    let file = std::fs::File::create(path)
-        .map_err(|e| format!("cannot create {}: {e}", path.display()))?;
-    dpnet_obs::write_chrome_trace_with_counters(
-        BufWriter::new(file),
-        spans,
-        &tracer.track_names(),
-        counters,
-    )
-    .map_err(|e| format!("cannot write {}: {e}", path.display()))
 }
 
 #[cfg(test)]
@@ -274,7 +223,7 @@ mod tests {
 
     #[test]
     fn overlay_folds_charges_plans_and_span_self_time() {
-        use dpnet_obs::{ChargeEvent, PlanEvent};
+        use dpnet_obs::ChargeEvent;
         use std::sync::Arc as A;
         let events = vec![
             Event::Charge(ChargeEvent {
@@ -295,31 +244,26 @@ mod tests {
                 sequence: 2,
                 at_ns: 20,
             }),
-            Event::Plan(PlanEvent {
-                materialization: 1,
-                fused_stages: 3,
-                mode: "sequential",
-                workers: 1,
-                wall_ns: 5,
-                at_ns: 15,
-                #[cfg(feature = "trusted-owner")]
-                source_records: 0,
-                #[cfg(feature = "trusted-owner")]
-                output_records: 0,
-            }),
         ];
-        let spans = vec![CompletedSpan {
-            id: 1,
+        let span = |id, name, dur_ns, child_ns, fused_stages| CompletedSpan {
+            id,
             parent: None,
-            name: "noisy_count",
+            name,
             detail: None,
             track: 1,
             start_ns: 0,
-            dur_ns: 100,
-            child_ns: 40,
+            dur_ns,
+            child_ns,
+            fused_stages,
             #[cfg(feature = "trusted-owner")]
             records: 0,
-        }];
+        };
+        let spans = vec![
+            span(1, "noisy_count", 100, 40, None),
+            // One forced plan (fused width set) and one memoized read.
+            span(2, "plan/materialize", 40, 0, Some(3)),
+            span(3, "plan/materialize", 1, 0, None),
+        ];
         let (overlay, counters) = fold_overlay(&events, &spans, 777);
         assert_eq!(overlay.wall_ns, 777);
         // Sibling parts fold into one normalized path.

@@ -1,11 +1,13 @@
-//! Profiled experiment runs — the shared dispatcher behind the `repro`
-//! binary and the `dpnet profile` command.
+//! Instrumented experiment runs — the one driver behind `repro`,
+//! `bench_guard record`, `dpnet profile` and `dpnet explain`.
 //!
 //! [`run_experiment`] maps an experiment id to its implementation in
-//! [`crate::experiments`]; [`run_profiled`] runs one experiment under an
-//! installed [`TraceRecorder`], folds the captured spans into a
-//! [`RunReport`] (per-operator time attribution in `BENCH_<id>-wN.json`),
-//! and optionally writes a Chrome-trace/Perfetto JSON of the run.
+//! [`crate::experiments`]. [`run_instrumented`] runs one experiment with
+//! the process-wide observers it is asked for — an event sink, a span
+//! recorder, an explain recorder — and returns everything they saw. [`run_profiled`] is the `dpnet profile` front end: it folds
+//! the captured spans into a [`RunReport`] (per-operator time attribution
+//! in `BENCH_<id>-wN.json`) and optionally writes a Chrome-trace/Perfetto
+//! JSON of the run.
 //!
 //! When an overhead ceiling is requested, the experiment is first run
 //! *unprofiled* on the same pool and the profiled wall time is compared
@@ -14,10 +16,14 @@
 use crate::experiments as exp;
 use crate::report::RunReport;
 use dpnet_obs::{
-    install_recorder, set_global_sink, uninstall_recorder, write_chrome_trace_aggregated,
-    AggregatedSpans, MemorySink, SpanMode, TraceRecorder,
+    install_recorder, set_global_sink, uninstall_recorder, write_chrome_trace, AggregatedSpans,
+    CompletedSpan, CounterSample, Event, MemorySink, SpanMode, TraceRecorder,
 };
-use pinq::{ExecCtx, ExecPool};
+use pinq::{
+    install_explain_recorder, uninstall_explain_recorder, ExecCtx, ExecPool, ExplainRecorder,
+    ExplainReport,
+};
+use std::collections::BTreeMap;
 use std::io::BufWriter;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -72,6 +78,93 @@ pub fn run_experiment(id: &str, ctx: &ExecCtx) -> Result<String, String> {
         "classify" => Ok(exp::classify_exp::run().1),
         other => Err(format!("unknown experiment id '{other}'")),
     }
+}
+
+/// Which process-wide observers a [`run_instrumented`] run installs.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Observe {
+    /// Capture every event in a global [`MemorySink`].
+    pub events: bool,
+    /// Record spans with a recorder in this mode.
+    pub spans: Option<SpanMode>,
+    /// Fold each charge into an [`ExplainReport`].
+    pub explain: bool,
+}
+
+/// Everything one [`run_instrumented`] run produced.
+pub struct InstrumentedRun {
+    /// The experiment's own printable output.
+    pub output: String,
+    /// End-to-end wall time of the experiment, ns.
+    pub wall_ns: u64,
+    /// Every event the global sink captured: charges, aggregations and
+    /// toolkit phases (empty unless events were asked for).
+    pub events: Vec<Event>,
+    /// Individually recorded spans (empty when no recorder was asked for).
+    pub spans: Vec<CompletedSpan>,
+    /// Aggregation spans a [`SpanMode::Aggregate`] recorder folded.
+    pub aggregated: Vec<AggregatedSpans>,
+    /// Names of the span tracks (worker lanes).
+    pub track_names: BTreeMap<u64, Arc<str>>,
+    /// The folded charge-path predictions, titled with the experiment id,
+    /// when an explain recorder was asked for.
+    pub explain: Option<ExplainReport>,
+}
+
+/// Run experiment `id` on `ctx` with the observers `observe` asks for.
+/// They are process-wide, so instrumented runs must not overlap; all are
+/// removed before returning.
+pub fn run_instrumented(
+    id: &str,
+    ctx: &ExecCtx,
+    observe: Observe,
+) -> Result<InstrumentedRun, String> {
+    let sink = observe.events.then(|| {
+        let sink = Arc::new(MemorySink::new());
+        set_global_sink(Some(sink.clone()));
+        sink
+    });
+    let tracer = observe.spans.map(|mode| {
+        let rec = Arc::new(TraceRecorder::with_mode(mode));
+        install_recorder(rec.clone());
+        rec
+    });
+    let explainer = observe.explain.then(|| {
+        let rec = Arc::new(ExplainRecorder::new());
+        install_explain_recorder(rec.clone());
+        rec
+    });
+    let start = Instant::now();
+    let result = run_experiment(id, ctx);
+    let wall_ns = (start.elapsed().as_nanos() as u64).max(1);
+    if tracer.is_some() {
+        uninstall_recorder();
+    }
+    if explainer.is_some() {
+        uninstall_explain_recorder();
+    }
+    if sink.is_some() {
+        set_global_sink(None);
+    }
+    let output = result?;
+    let explain = explainer.map(|rec| {
+        let mut report = rec.report();
+        report.title = id.to_string();
+        report
+    });
+    let (spans, aggregated, track_names) = match tracer {
+        Some(rec) => (rec.take(), rec.take_aggregated(), rec.track_names()),
+        None => Default::default(),
+    };
+    Ok(InstrumentedRun {
+        output,
+        wall_ns,
+        events: sink.map(|s| s.drain()).unwrap_or_default(),
+        spans,
+        aggregated,
+        track_names,
+        explain,
+    })
 }
 
 /// What [`run_profiled`] should do.
@@ -133,35 +226,24 @@ pub fn run_profiled(cfg: &ProfileConfig) -> Result<ProfileOutcome, String> {
     // Unprofiled baseline first: same pool, recorder not installed, so
     // the per-span cost reduces to one relaxed atomic load.
     let baseline_wall_ns = match cfg.max_overhead {
-        Some(_) => {
-            let start = Instant::now();
-            run_experiment(&cfg.experiment, &ctx)?;
-            Some((start.elapsed().as_nanos() as u64).max(1))
-        }
+        Some(_) => Some(run_instrumented(&cfg.experiment, &ctx, Observe::default())?.wall_ns),
         None => None,
     };
-
-    let sink = Arc::new(MemorySink::new());
-    set_global_sink(Some(sink.clone()));
-    let rec = Arc::new(TraceRecorder::with_mode(cfg.span_mode));
-    install_recorder(rec.clone());
-    let start = Instant::now();
-    let result = run_experiment(&cfg.experiment, &ctx);
-    let profiled_wall_ns = (start.elapsed().as_nanos() as u64).max(1);
-    uninstall_recorder();
-    set_global_sink(None);
-    let output = result?;
-    let spans = rec.take();
-    let aggs = rec.take_aggregated();
+    let observe = Observe {
+        events: true,
+        spans: Some(cfg.span_mode),
+        explain: false,
+    };
+    let run = run_instrumented(&cfg.experiment, &ctx, observe)?;
 
     let mut report = RunReport::new(&format!("{}-w{}", cfg.experiment, cfg.workers));
     report.set_workers(cfg.workers);
-    report.record_with_profile(
+    report.record(
         &cfg.experiment,
-        profiled_wall_ns,
-        &sink.drain(),
-        &spans,
-        &aggs,
+        run.wall_ns,
+        &run.events,
+        &run.spans,
+        &run.aggregated,
     );
     let attribution = report.render_attribution_report();
     let report_path = report
@@ -170,21 +252,21 @@ pub fn run_profiled(cfg: &ProfileConfig) -> Result<ProfileOutcome, String> {
 
     let trace_path = match &cfg.trace_out {
         Some(path) => {
-            write_trace(path, &spans, &aggs, &rec)?;
+            write_trace(path, &run, &[])?;
             Some(path.clone())
         }
         None => None,
     };
 
     let outcome = ProfileOutcome {
-        output,
         attribution,
         report_path,
         trace_path,
-        profiled_wall_ns,
+        profiled_wall_ns: run.wall_ns,
         baseline_wall_ns,
-        spans: spans.len(),
-        aggregated: aggs.len(),
+        spans: run.spans.len(),
+        aggregated: run.aggregated.len(),
+        output: run.output,
     };
     if let (Some(ceiling), Some(overhead)) = (cfg.max_overhead, outcome.overhead()) {
         if overhead > ceiling {
@@ -201,11 +283,11 @@ pub fn run_profiled(cfg: &ProfileConfig) -> Result<ProfileOutcome, String> {
     Ok(outcome)
 }
 
-fn write_trace(
+/// Write `run`'s spans (and any ε `counters`) as a Chrome-trace JSON.
+pub(crate) fn write_trace(
     path: &Path,
-    spans: &[dpnet_obs::CompletedSpan],
-    aggs: &[AggregatedSpans],
-    rec: &TraceRecorder,
+    run: &InstrumentedRun,
+    counters: &[CounterSample],
 ) -> Result<(), String> {
     if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
         std::fs::create_dir_all(dir)
@@ -213,8 +295,14 @@ fn write_trace(
     }
     let file = std::fs::File::create(path)
         .map_err(|e| format!("cannot create {}: {e}", path.display()))?;
-    write_chrome_trace_aggregated(BufWriter::new(file), spans, &rec.track_names(), &[], aggs)
-        .map_err(|e| format!("cannot write {}: {e}", path.display()))
+    write_chrome_trace(
+        BufWriter::new(file),
+        &run.spans,
+        &run.track_names,
+        counters,
+        &run.aggregated,
+    )
+    .map_err(|e| format!("cannot write {}: {e}", path.display()))
 }
 
 #[cfg(test)]
@@ -225,6 +313,31 @@ mod tests {
     #[test]
     fn unknown_ids_are_rejected() {
         assert!(run_experiment("nope", &ExecCtx::Sequential).is_err());
+    }
+
+    #[test]
+    fn instrumented_runs_capture_what_was_asked_and_uninstall_it() {
+        let _g = global_guard();
+        let observe = Observe {
+            events: true,
+            spans: None,
+            explain: true,
+        };
+        let run = run_instrumented("example23", &ExecCtx::Sequential, observe).expect("run");
+        assert!(run.events.iter().any(|e| matches!(e, Event::Charge(_))));
+        assert!(run.spans.is_empty() && run.aggregated.is_empty());
+        assert_eq!(
+            run.explain.expect("explain was asked for").title,
+            "example23"
+        );
+        let all = Observe {
+            spans: Some(SpanMode::Full),
+            ..observe
+        };
+        assert!(run_instrumented("nope", &ExecCtx::Sequential, all).is_err());
+        // Observers come off on success and on failure alike.
+        assert!(!dpnet_obs::profiling_enabled());
+        assert!(dpnet_obs::global_sink().is_none());
     }
 
     #[test]

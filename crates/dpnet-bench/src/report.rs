@@ -5,15 +5,15 @@
 //! rendering here keeps the experiment code about the experiment.
 //!
 //! The [`RunReport`] half collects what the observability layer saw while
-//! the experiments ran — phase events from the toolkit, charge/aggregate
-//! events from the engine — and turns them into the per-phase ε/latency
-//! budget report `repro` prints, plus a timestamped `BENCH_<target>.json`
-//! for dashboards and regression tracking.
+//! the experiments ran — phase events from the toolkit, charge events from
+//! the engine, and (for profiled runs) spans — and turns them into the
+//! per-phase ε/latency budget report `repro` prints, plus a timestamped
+//! `BENCH_<target>.json` for dashboards and regression tracking.
 
 use dpnet_obs::json::{escape, number};
 use dpnet_obs::{
-    attribution_with_aggregates, unix_time_s, AggregatedSpans, AttributionRow, CompletedSpan,
-    Event, MetricsRegistry,
+    attribution, unix_time_s, AggregatedSpans, AttributionRow, CompletedSpan, Event,
+    MetricsRegistry,
 };
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -230,29 +230,12 @@ impl RunReport {
         &self.registry
     }
 
-    /// Record one finished experiment and the events captured while it ran.
-    pub fn record(&mut self, id: &str, wall_ns: u64, events: &[Event]) {
-        self.record_with_spans(id, wall_ns, events, &[]);
-    }
-
-    /// [`RunReport::record`], additionally folding profiler spans captured
-    /// during the experiment into a per-operator time-attribution table
-    /// (top [`ATTRIBUTION_TOP`] rows by self-time).
-    pub fn record_with_spans(
-        &mut self,
-        id: &str,
-        wall_ns: u64,
-        events: &[Event],
-        spans: &[CompletedSpan],
-    ) {
-        self.record_with_profile(id, wall_ns, events, spans, &[]);
-    }
-
-    /// [`RunReport::record_with_spans`] for runs profiled in
-    /// [`dpnet_obs::SpanMode::Aggregate`]: the folded aggregate rows join
-    /// the full spans in the attribution table, so the table is the same
-    /// whichever span mode recorded the run.
-    pub fn record_with_profile(
+    /// Record one finished experiment: the events captured while it ran,
+    /// and the profiler spans — full spans plus the rows a
+    /// [`dpnet_obs::SpanMode::Aggregate`] recorder folded, both empty for
+    /// an unprofiled run — as a per-operator time-attribution table (top
+    /// [`ATTRIBUTION_TOP`] rows by self-time).
+    pub fn record(
         &mut self,
         id: &str,
         wall_ns: u64,
@@ -278,30 +261,14 @@ impl RunReport {
                     });
                 }
                 Event::Charge(c) => eps_charged += c.epsilon,
-                Event::Aggregate(a) => {
-                    self.registry
-                        .histogram(&format!("aggregate.{}.wall_ns", a.operator))
-                        .record_ns(a.wall_ns);
-                }
-                Event::Exec(e) => {
-                    self.registry
-                        .histogram(&format!("exec.{}.wall_ns", e.kernel))
-                        .record_ns(e.wall_ns);
-                }
-                Event::Plan(p) => {
-                    self.registry.counter("plan.materializations").inc();
-                    self.registry
-                        .histogram("plan.materialize.wall_ns")
-                        .record_ns(p.wall_ns);
-                }
-                Event::Transform(_) | Event::Session(_) => {}
+                Event::Aggregate(_) | Event::Session(_) => {}
             }
         }
         self.registry.counter("experiments.completed").inc();
         self.registry
             .histogram("experiment.wall_ns")
             .record_ns(wall_ns);
-        let mut rows = attribution_with_aggregates(spans, aggs);
+        let mut rows = attribution(spans, aggs);
         rows.truncate(ATTRIBUTION_TOP);
         self.runs.push(ExperimentRun {
             id: id.to_string(),
@@ -532,7 +499,7 @@ mod tests {
     }
 
     fn sample_events() -> Vec<Event> {
-        use dpnet_obs::event::{ChargeEvent, ExecEvent, PhaseEvent};
+        use dpnet_obs::event::{ChargeEvent, PhaseEvent};
         use std::sync::Arc;
         vec![
             Event::Phase(PhaseEvent {
@@ -550,28 +517,20 @@ mod tests {
                 sequence: 1,
                 at_ns: 2,
             }),
-            Event::Exec(ExecEvent {
-                kernel: "partition",
-                workers: 4,
-                wall_ns: 1_000_000,
-                at_ns: 3,
-                #[cfg(feature = "trusted-owner")]
-                tasks: 8,
-            }),
         ]
     }
 
     #[test]
     fn run_report_collects_phases_and_charges() {
         let mut r = RunReport::new("test");
-        r.record("fig1", 5_000_000, &sample_events());
+        r.record("fig1", 5_000_000, &sample_events(), &[], &[]);
         let text = r.render_budget_report();
         assert!(text.contains("fig1"));
         assert!(text.contains("cdf_partition"));
         assert!(text.contains("0.500"));
         assert_eq!(r.registry().counter("experiments.completed").get(), 1);
         assert_eq!(r.registry().counter("events.phase").get(), 1);
-        assert_eq!(r.registry().counter("events.exec").get(), 1);
+        assert_eq!(r.registry().counter("events.charge").get(), 1);
     }
 
     #[test]
@@ -623,7 +582,7 @@ mod tests {
         assert_eq!(parsed["p95_ns"].as_f64(), Some(5_000.0));
         // Runs without latency do not carry the key.
         let mut plain = RunReport::new("x");
-        plain.record("fig1", 1, &[]);
+        plain.record("fig1", 1, &[], &[], &[]);
         assert!(!plain.to_json().contains("\"latency\""));
     }
 
@@ -640,7 +599,7 @@ mod tests {
     #[test]
     fn run_report_json_is_parseable_at_the_phase_level() {
         let mut r = RunReport::new("test");
-        r.record("fig1", 5_000_000, &sample_events());
+        r.record("fig1", 5_000_000, &sample_events(), &[], &[]);
         let json = r.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"target\":\"test\""));
@@ -665,6 +624,7 @@ mod tests {
                 start_ns: id,
                 dur_ns: dur,
                 child_ns: child,
+                fused_stages: None,
                 #[cfg(feature = "trusted-owner")]
                 records: 0,
             }
@@ -679,7 +639,7 @@ mod tests {
     #[test]
     fn run_report_folds_spans_into_attribution() {
         let mut r = RunReport::new("test");
-        r.record_with_spans("fig1", 1_000, &[], &sample_spans());
+        r.record("fig1", 1_000, &[], &sample_spans(), &[]);
         let run = &r.runs[0];
         assert_eq!(run.attribution.len(), 3);
         // Sorted by self time: the plan materialization dominates.
@@ -698,7 +658,7 @@ mod tests {
     #[test]
     fn unprofiled_reports_have_empty_attribution() {
         let mut r = RunReport::new("test");
-        r.record("fig1", 1_000, &[]);
+        r.record("fig1", 1_000, &[], &[], &[]);
         assert!(r.runs[0].attribution.is_empty());
         assert_eq!(r.render_attribution_report(), "");
         assert!(r.to_json().contains("\"attribution\":[]"));
@@ -718,12 +678,13 @@ mod tests {
                 start_ns: i,
                 dur_ns: 1000 - i,
                 child_ns: 0,
+                fused_stages: None,
                 #[cfg(feature = "trusted-owner")]
                 records: 0,
             });
         }
         let mut r = RunReport::new("test");
-        r.record_with_spans("x", 1, &[], &spans);
+        r.record("x", 1, &[], &spans, &[]);
         assert_eq!(r.runs[0].attribution.len(), ATTRIBUTION_TOP);
         // The kept rows are the largest self-times.
         assert_eq!(r.runs[0].attribution[0].self_ns, 1000);
@@ -733,7 +694,7 @@ mod tests {
     fn run_report_writes_the_target_file() {
         let dir = std::env::temp_dir().join("dpnet-bench-report-test");
         let mut r = RunReport::new("unit");
-        r.record("x", 1, &[]);
+        r.record("x", 1, &[], &[], &[]);
         let path = r.write_json(&dir).unwrap();
         assert!(path.ends_with("BENCH_unit.json"));
         let text = std::fs::read_to_string(&path).unwrap();

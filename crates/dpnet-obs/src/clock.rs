@@ -1,10 +1,10 @@
-//! Monotonic process clock and span timing.
+//! Monotonic process clock.
 //!
-//! Ledger entries and events are stamped with nanoseconds since the first
-//! use of the clock in this process — monotonic, cheap, and meaningful for
-//! ordering and latency arithmetic within one run. Wall-clock time (for
-//! naming report files and stamping audit exports) comes separately from
-//! [`unix_time_s`].
+//! Ledger entries, events and spans are stamped with nanoseconds since the
+//! first use of the clock in this process — monotonic, cheap, and
+//! meaningful for ordering within one run. Durations are measured by
+//! [`crate::span`] only. Wall-clock time (for naming report files and
+//! stamping audit exports) comes separately from [`unix_time_s`].
 
 use std::sync::OnceLock;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
@@ -28,40 +28,6 @@ pub fn unix_time_s() -> u64 {
         .unwrap_or(0)
 }
 
-/// Measures one span of work.
-#[derive(Debug, Clone, Copy)]
-pub struct SpanTimer {
-    started: Instant,
-    started_ns: u64,
-}
-
-impl SpanTimer {
-    /// Start timing now.
-    pub fn start() -> Self {
-        SpanTimer {
-            started: Instant::now(),
-            started_ns: now_ns(),
-        }
-    }
-
-    /// Nanoseconds elapsed since [`SpanTimer::start`].
-    pub fn elapsed_ns(&self) -> u64 {
-        self.started.elapsed().as_nanos() as u64
-    }
-
-    /// The monotonic timestamp at which the span started.
-    pub fn started_at_ns(&self) -> u64 {
-        self.started_ns
-    }
-}
-
-/// Run `f`, returning its result and the elapsed nanoseconds.
-pub fn timed<R>(f: impl FnOnce() -> R) -> (R, u64) {
-    let t = SpanTimer::start();
-    let r = f();
-    (r, t.elapsed_ns())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -71,13 +37,6 @@ mod tests {
         let a = now_ns();
         let b = now_ns();
         assert!(b >= a);
-    }
-
-    #[test]
-    fn spans_measure_nonzero_work() {
-        let (sum, ns) = timed(|| (0..10_000u64).sum::<u64>());
-        assert_eq!(sum, 49_995_000);
-        assert!(ns > 0);
     }
 
     #[test]

@@ -1,11 +1,12 @@
-//! Structured engine events.
+//! Structured audit events.
 //!
-//! One event per interesting engine action: a transformation derived a new
-//! queryable, an aggregation ran (and either charged budget or was denied),
-//! the accountant recorded a spend, or a toolkit phase completed. Every
-//! field obeys the crate-level privacy-safety rule: privacy metadata,
-//! timings, and DP-released values only. Data-dependent fields (true record
-//! counts) compile in only under the `trusted-owner` feature.
+//! Events carry what an owner audits, not how long things took (spans in
+//! [`crate::span`] measure time): an aggregation request and how it ended,
+//! a spend the accountant recorded, an analyst session opening or closing,
+//! and a toolkit phase with the ε it spent. Every field obeys the
+//! crate-level privacy-safety rule: privacy metadata, timestamps, and
+//! DP-released values only. Data-dependent fields (true record counts)
+//! compile in only under the `trusted-owner` feature.
 
 use crate::json::JsonObj;
 use std::sync::Arc;
@@ -32,27 +33,6 @@ impl Outcome {
     }
 }
 
-/// A transformation produced a derived queryable.
-#[derive(Debug, Clone)]
-pub struct TransformEvent {
-    /// Operator name, e.g. `"where"`, `"join"`, `"partition"`.
-    pub operator: &'static str,
-    /// Analysis label of the source queryable, if one was set.
-    pub label: Option<Arc<str>>,
-    /// Stability multiplier of the source.
-    pub stability_in: f64,
-    /// Stability multiplier of the derived queryable.
-    pub stability_out: f64,
-    /// Wall time the transformation took, ns.
-    pub wall_ns: u64,
-    /// Monotonic timestamp (ns since process clock epoch).
-    pub at_ns: u64,
-    /// True record count of the derived queryable. Data-dependent:
-    /// owner-side builds only.
-    #[cfg(feature = "trusted-owner")]
-    pub output_records: u64,
-}
-
 /// An aggregation ran against the accountant.
 #[derive(Debug, Clone)]
 pub struct AggregateEvent {
@@ -73,8 +53,6 @@ pub struct AggregateEvent {
     /// The DP-released value, when the aggregation releases a single
     /// scalar. Already noised — safe to log by definition.
     pub released: Option<f64>,
-    /// Wall time of the aggregation, ns.
-    pub wall_ns: u64,
     /// Monotonic timestamp (ns since process clock epoch).
     pub at_ns: u64,
     /// True input record count. Data-dependent: owner-side builds only.
@@ -103,73 +81,15 @@ pub struct ChargeEvent {
     pub at_ns: u64,
 }
 
-/// A parallel kernel run finished on a worker pool.
-///
-/// Emitted once per pool-driven kernel invocation (chunked partition
-/// construction, chunked sums, per-part fan-out, trace generation) so that
-/// speedups are observable per kernel. The worker count is analyst-chosen
-/// configuration, not data; the task (chunk) count is derived from the
-/// record count and therefore compiles in only under `trusted-owner`.
-#[derive(Debug, Clone)]
-pub struct ExecEvent {
-    /// Kernel name, e.g. `"partition"`, `"noisy_sum"`, `"map_parts"`.
-    pub kernel: &'static str,
-    /// Worker threads the pool was configured with.
-    pub workers: u64,
-    /// Wall time of the kernel run, ns.
-    pub wall_ns: u64,
-    /// Monotonic timestamp (ns since process clock epoch).
-    pub at_ns: u64,
-    /// Number of tasks (chunks) dispatched. Data-dependent: owner-side
-    /// builds only.
-    #[cfg(feature = "trusted-owner")]
-    pub tasks: u64,
-}
-
-/// A lazy query plan materialized its fused pipeline.
-///
-/// Emitted once per *actual* materialization — memoized re-reads of an
-/// already-forced plan emit nothing — so the number of `Plan` events is the
-/// number of intermediate buffers the engine really allocated. The fusion
-/// width (how many adjacent operators collapsed into the single pass) and
-/// the execution mode are analyst-chosen query structure, not data; the
-/// true source/output record counts are data-dependent and compile in only
-/// under `trusted-owner`.
-#[derive(Debug, Clone)]
-pub struct PlanEvent {
-    /// Process-wide materialization ordinal (1-based): which actual
-    /// materialization this was. Counts engine activity, not data — it
-    /// lets an explain-analyze overlay report how many buffers a run
-    /// allocated and how effectively operators fused into each.
-    pub materialization: u64,
-    /// Number of adjacent operators fused into the materialized pass.
-    pub fused_stages: u64,
-    /// Execution mode that forced the plan: `"sequential"` or `"pool"`.
-    pub mode: &'static str,
-    /// Worker threads used by the forcing run (1 for sequential).
-    pub workers: u64,
-    /// Wall time of the materialization, ns.
-    pub wall_ns: u64,
-    /// Monotonic timestamp (ns since process clock epoch).
-    pub at_ns: u64,
-    /// True record count of the plan's source. Data-dependent: owner-side
-    /// builds only.
-    #[cfg(feature = "trusted-owner")]
-    pub source_records: u64,
-    /// True record count of the materialized output. Data-dependent:
-    /// owner-side builds only.
-    #[cfg(feature = "trusted-owner")]
-    pub output_records: u64,
-}
-
 /// A named phase of a higher-level analysis finished.
 #[derive(Debug, Clone)]
 pub struct PhaseEvent {
     /// Phase name, e.g. `"cdf"`, `"kmeans/iter"`.
     pub name: Arc<str>,
-    /// ε spent during the phase (difference of accountant readings).
+    /// ε the phase spends by construction of its algorithm (e.g.
+    /// iterations × ε-per-iteration at stability 1).
     pub eps_spent: f64,
-    /// Wall time of the phase, ns.
+    /// Duration of the phase's span, ns.
     pub wall_ns: u64,
     /// Monotonic timestamp (ns since process clock epoch).
     pub at_ns: u64,
@@ -198,33 +118,24 @@ pub struct SessionEvent {
 /// Any engine event.
 #[derive(Debug, Clone)]
 pub enum Event {
-    /// A transformation derived a queryable.
-    Transform(TransformEvent),
     /// An aggregation ran.
     Aggregate(AggregateEvent),
     /// The accountant recorded a spend.
     Charge(ChargeEvent),
     /// An analysis phase finished.
     Phase(PhaseEvent),
-    /// A parallel kernel run finished.
-    Exec(ExecEvent),
-    /// A lazy query plan materialized.
-    Plan(PlanEvent),
     /// An analyst session opened or closed.
     Session(SessionEvent),
 }
 
 impl Event {
-    /// The event's kind as a stable string (`"transform"`, `"aggregate"`,
-    /// `"charge"`, `"phase"`, `"exec"`, `"plan"`, `"session"`).
+    /// The event's kind as a stable string (`"aggregate"`, `"charge"`,
+    /// `"phase"`, `"session"`).
     pub fn kind(&self) -> &'static str {
         match self {
-            Event::Transform(_) => "transform",
             Event::Aggregate(_) => "aggregate",
             Event::Charge(_) => "charge",
             Event::Phase(_) => "phase",
-            Event::Exec(_) => "exec",
-            Event::Plan(_) => "plan",
             Event::Session(_) => "session",
         }
     }
@@ -236,16 +147,6 @@ impl Event {
         let mut o = JsonObj::new();
         o.field_str("type", self.kind());
         match self {
-            Event::Transform(e) => {
-                o.field_str("op", e.operator)
-                    .field_opt_str("label", e.label.as_deref())
-                    .field_f64("stability_in", e.stability_in)
-                    .field_f64("stability_out", e.stability_out)
-                    .field_u64("wall_ns", e.wall_ns)
-                    .field_u64("at_ns", e.at_ns);
-                #[cfg(feature = "trusted-owner")]
-                o.field_u64("output_records", e.output_records);
-            }
             Event::Aggregate(e) => {
                 o.field_str("op", e.operator)
                     .field_str("mechanism", e.mechanism)
@@ -255,7 +156,6 @@ impl Event {
                     .field_f64("eps_charged", e.eps_charged)
                     .field_str("outcome", e.outcome.as_str())
                     .field_opt_f64("released", e.released)
-                    .field_u64("wall_ns", e.wall_ns)
                     .field_u64("at_ns", e.at_ns);
                 #[cfg(feature = "trusted-owner")]
                 o.field_u64("input_records", e.input_records);
@@ -274,25 +174,6 @@ impl Event {
                     .field_f64("eps_spent", e.eps_spent)
                     .field_u64("wall_ns", e.wall_ns)
                     .field_u64("at_ns", e.at_ns);
-            }
-            Event::Exec(e) => {
-                o.field_str("kernel", e.kernel)
-                    .field_u64("workers", e.workers)
-                    .field_u64("wall_ns", e.wall_ns)
-                    .field_u64("at_ns", e.at_ns);
-                #[cfg(feature = "trusted-owner")]
-                o.field_u64("tasks", e.tasks);
-            }
-            Event::Plan(e) => {
-                o.field_u64("materialization", e.materialization)
-                    .field_u64("fused_stages", e.fused_stages)
-                    .field_str("mode", e.mode)
-                    .field_u64("workers", e.workers)
-                    .field_u64("wall_ns", e.wall_ns)
-                    .field_u64("at_ns", e.at_ns);
-                #[cfg(feature = "trusted-owner")]
-                o.field_u64("source_records", e.source_records)
-                    .field_u64("output_records", e.output_records);
             }
             Event::Session(e) => {
                 o.field_u64("session", e.session_id)
@@ -321,7 +202,6 @@ mod tests {
             eps_charged: 0.2,
             outcome: Outcome::Ok,
             released: Some(41.7),
-            wall_ns: 1234,
             at_ns: 99,
             #[cfg(feature = "trusted-owner")]
             input_records: 1000,
@@ -361,90 +241,9 @@ mod tests {
     fn no_data_dependent_fields_without_trusted_owner() {
         // The privacy-safety rule, checked at the source: in the default
         // configuration, no serialized event mentions record counts.
-        let t = Event::Transform(TransformEvent {
-            operator: "where",
-            label: None,
-            stability_in: 1.0,
-            stability_out: 1.0,
-            wall_ns: 10,
-            at_ns: 20,
-            #[cfg(feature = "trusted-owner")]
-            output_records: 5,
-        });
-        let a = Event::Aggregate(sample_aggregate());
-        for e in [t, a] {
-            let j = e.to_json();
-            if cfg!(feature = "trusted-owner") {
-                continue;
-            }
-            assert!(!j.contains("records"), "data-dependent field in {j}");
-        }
-        let x = Event::Exec(ExecEvent {
-            kernel: "partition",
-            workers: 4,
-            wall_ns: 5,
-            at_ns: 6,
-            #[cfg(feature = "trusted-owner")]
-            tasks: 13,
-        });
-        let j = x.to_json();
-        if !cfg!(feature = "trusted-owner") {
-            assert!(!j.contains("tasks"), "data-dependent field in {j}");
-        }
-        let p = Event::Plan(PlanEvent {
-            materialization: 1,
-            fused_stages: 3,
-            mode: "pool",
-            workers: 4,
-            wall_ns: 9,
-            at_ns: 10,
-            #[cfg(feature = "trusted-owner")]
-            source_records: 1000,
-            #[cfg(feature = "trusted-owner")]
-            output_records: 500,
-        });
-        let j = p.to_json();
+        let j = Event::Aggregate(sample_aggregate()).to_json();
         if !cfg!(feature = "trusted-owner") {
             assert!(!j.contains("records"), "data-dependent field in {j}");
         }
-    }
-
-    #[test]
-    fn plan_serializes_flat() {
-        let e = Event::Plan(PlanEvent {
-            materialization: 4,
-            fused_stages: 2,
-            mode: "sequential",
-            workers: 1,
-            wall_ns: 321,
-            at_ns: 7,
-            #[cfg(feature = "trusted-owner")]
-            source_records: 10,
-            #[cfg(feature = "trusted-owner")]
-            output_records: 4,
-        });
-        let m = parse_flat_object(&e.to_json()).expect("valid flat JSON");
-        assert_eq!(m["type"].as_str(), Some("plan"));
-        assert_eq!(m["materialization"].as_f64(), Some(4.0));
-        assert_eq!(m["fused_stages"].as_f64(), Some(2.0));
-        assert_eq!(m["mode"].as_str(), Some("sequential"));
-        assert_eq!(m["workers"].as_f64(), Some(1.0));
-    }
-
-    #[test]
-    fn exec_serializes_flat() {
-        let e = Event::Exec(ExecEvent {
-            kernel: "noisy_sum",
-            workers: 8,
-            wall_ns: 777,
-            at_ns: 42,
-            #[cfg(feature = "trusted-owner")]
-            tasks: 3,
-        });
-        let m = parse_flat_object(&e.to_json()).expect("valid flat JSON");
-        assert_eq!(m["type"].as_str(), Some("exec"));
-        assert_eq!(m["kernel"].as_str(), Some("noisy_sum"));
-        assert_eq!(m["workers"].as_f64(), Some(8.0));
-        assert_eq!(m["wall_ns"].as_f64(), Some(777.0));
     }
 }

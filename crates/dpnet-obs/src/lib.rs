@@ -3,10 +3,12 @@
 //! The paper's setting is *mediated* trace analysis: a data owner runs
 //! analyses on behalf of researchers and must be able to see — and justify —
 //! exactly what privacy budget was spent, by which operator, and when
-//! (paper §2, §7). This crate is the substrate for that: hand-rolled atomic
-//! [`Counter`]s and fixed-bucket latency [`Histogram`]s, [`SpanTimer`]s, a
-//! pluggable [`EventSink`] for structured engine events, and a tiny JSON
-//! layer for the owner-side JSONL audit export. No external dependencies.
+//! (paper §2, §7). This crate is the substrate for that: hierarchical
+//! [`span`]s, the one mechanism that measures time; a pluggable
+//! [`EventSink`] for the audit events ([`Event`]: aggregations, charges,
+//! sessions, toolkit phases); hand-rolled atomic [`Counter`]s and
+//! fixed-bucket latency [`Histogram`]s; and a tiny JSON layer for the
+//! owner-side JSONL audit export. No external dependencies.
 //!
 //! ## The privacy-safety rule
 //!
@@ -14,7 +16,7 @@
 //!
 //! * **privacy metadata** — ε requested/charged, stability multipliers,
 //!   operator names, charge paths, analysis labels, sequence numbers;
-//! * **timings** — wall-clock durations and monotonic timestamps;
+//! * **timings** — span durations and monotonic timestamps;
 //! * **DP-released values** — numbers that already went through a noise
 //!   mechanism and are safe to publish by definition.
 //!
@@ -50,23 +52,14 @@ pub mod sink;
 pub mod span;
 pub mod trace_export;
 
-pub use clock::{now_ns, unix_time_s, SpanTimer};
-pub use event::{
-    AggregateEvent, ChargeEvent, Event, ExecEvent, Outcome, PhaseEvent, PlanEvent, SessionEvent,
-    TransformEvent,
-};
+pub use clock::{now_ns, unix_time_s};
+pub use event::{AggregateEvent, ChargeEvent, Event, Outcome, PhaseEvent, SessionEvent};
 pub use metrics::{Counter, Histogram, HistogramSnapshot, MetricsRegistry};
 pub use sink::{
-    emit_exec_global, emit_phase_global, global_sink, set_global_sink, EventSink, JsonlSink,
-    MemorySink, NullSink, SinkHandle,
+    global_sink, set_global_sink, EventSink, JsonlSink, MemorySink, NullSink, SinkHandle,
 };
 pub use span::{
-    attribution, attribution_with_aggregates, install_recorder, profiling_enabled,
-    uninstall_recorder, AggregatedSpans, AttributionRow, CompletedSpan, SpanGuard, SpanMode,
-    TraceRecorder,
+    attribution, install_recorder, profiling_enabled, uninstall_recorder, AggregatedSpans,
+    AttributionRow, CompletedSpan, PhaseGuard, SpanGuard, SpanMode, TraceRecorder,
 };
-pub use trace_export::{
-    chrome_trace_json, chrome_trace_json_aggregated, chrome_trace_json_with_counters,
-    write_chrome_trace, write_chrome_trace_aggregated, write_chrome_trace_with_counters,
-    CounterSample,
-};
+pub use trace_export::{chrome_trace_json, write_chrome_trace, CounterSample};

@@ -58,11 +58,6 @@ impl MemorySink {
         self.len() == 0
     }
 
-    /// Drop all captured events.
-    pub fn clear(&self) {
-        lock(&self.events).clear();
-    }
-
     /// Remove and return everything captured so far.
     pub fn drain(&self) -> Vec<Event> {
         std::mem::take(&mut *lock(&self.events))
@@ -135,41 +130,6 @@ pub fn set_global_sink(sink: Option<Arc<dyn EventSink>>) -> Option<Arc<dyn Event
     let mut slot = lock(&g.sink);
     g.bound.store(sink.is_some(), Ordering::Release);
     std::mem::replace(&mut *slot, sink)
-}
-
-/// Emit a [`crate::PhaseEvent`] to the global sink (no-op when none is
-/// installed). The convenience path for analysis toolkits that want to
-/// report named phases without threading a sink handle through their APIs;
-/// `eps_spent` is the ε the phase charges *by construction* of the
-/// algorithm (e.g. iterations × ε-per-iteration).
-pub fn emit_phase_global(name: &str, eps_spent: f64, wall_ns: u64) {
-    if let Some(sink) = global_sink() {
-        sink.emit(&Event::Phase(crate::event::PhaseEvent {
-            name: Arc::from(name),
-            eps_spent,
-            wall_ns,
-            at_ns: crate::clock::now_ns(),
-        }));
-    }
-}
-
-/// Emit an [`crate::ExecEvent`] to the global sink (no-op when none is
-/// installed). For parallel drivers outside the engine — e.g. chunked
-/// synthetic-trace generation — that want their kernel runs observable
-/// without a sink handle. `tasks` is data-dependent (a chunk count) and is
-/// therefore serialized only under `trusted-owner`.
-pub fn emit_exec_global(kernel: &'static str, workers: usize, tasks: usize, wall_ns: u64) {
-    let _ = tasks;
-    if let Some(sink) = global_sink() {
-        sink.emit(&Event::Exec(crate::event::ExecEvent {
-            kernel,
-            workers: workers as u64,
-            wall_ns,
-            at_ns: crate::clock::now_ns(),
-            #[cfg(feature = "trusted-owner")]
-            tasks: tasks as u64,
-        }));
-    }
 }
 
 /// The currently installed global sink, if any.

@@ -1,7 +1,8 @@
 //! Hierarchical span profiling: enter/exit timing with parent links.
 //!
-//! A span is one timed region of engine work (a kernel run, a plan
-//! materialization, an aggregation). Spans nest: entering a span while
+//! Spans are the only thing in the stack that measures time. A span is one
+//! timed region of engine work (a kernel run, a plan materialization, an
+//! aggregation, a toolkit [`phase`]). Spans nest: entering a span while
 //! another is open on the same thread records the open span as its parent,
 //! so a completed trace reconstructs the call tree — and *self time* (a
 //! span's duration minus its children's) attributes wall-clock to the code
@@ -16,12 +17,14 @@
 //! ## Privacy
 //!
 //! Spans obey the crate-level privacy-safety rule: name, detail, parent
-//! links, track ids and timings are analyst-chosen metadata or timings.
-//! Record-derived magnitudes (e.g. how many records a task touched) attach
-//! via [`SpanGuard::set_records`] and exist on the serialized span only
-//! under the `trusted-owner` feature.
+//! links, track ids, timings and the fused-stage width of a plan
+//! materialization ([`SpanGuard::set_fused_stages`]) are analyst-chosen
+//! query structure or timings. Record-derived magnitudes (e.g. how many
+//! records a task touched) attach via [`SpanGuard::set_records`] and exist
+//! on the serialized span only under the `trusted-owner` feature.
 
 use crate::clock::now_ns;
+use crate::event::{Event, PhaseEvent};
 use crate::json::JsonObj;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -52,6 +55,10 @@ pub struct CompletedSpan {
     pub dur_ns: u64,
     /// Total duration of direct children, ns.
     pub child_ns: u64,
+    /// Number of adjacent operators a `plan/materialize` span fused into
+    /// its one pass; set only when the span actually ran the plan (a
+    /// memoized read leaves it `None`). Query structure, not data.
+    pub fused_stages: Option<u64>,
     /// Records the span touched. Data-dependent: owner-side builds only.
     #[cfg(feature = "trusted-owner")]
     pub records: u64,
@@ -78,6 +85,9 @@ impl CompletedSpan {
             .field_u64("self_ns", self.self_ns());
         if let Some(p) = self.parent {
             o.field_u64("parent", p);
+        }
+        if let Some(n) = self.fused_stages {
+            o.field_u64("fused_stages", n);
         }
         #[cfg(feature = "trusted-owner")]
         o.field_u64("records", self.records);
@@ -285,6 +295,7 @@ struct ActiveSpan {
     started: Instant,
     start_ns: u64,
     child_ns: u64,
+    fused_stages: Option<u64>,
     records: u64,
     /// Opened through [`enter_agg_with`]: an aggregation-barrier span a
     /// [`SpanMode::Aggregate`] recorder folds instead of storing.
@@ -372,6 +383,7 @@ fn enter_slow(name: &'static str, detail: Option<Arc<str>>, agg: bool) -> SpanGu
             started: Instant::now(),
             start_ns: now_ns(),
             child_ns: 0,
+            fused_stages: None,
             records: 0,
             agg,
         });
@@ -390,14 +402,68 @@ impl SpanGuard {
     /// the serialized span only under `trusted-owner`; in default builds
     /// it is accepted and discarded (see the crate privacy rule).
     pub fn set_records(&self, n: u64) {
+        self.with_top(|top| top.records = n);
+    }
+
+    /// Attach the fused-stage width of the plan this span materialized.
+    /// Analyst-chosen query structure, so it is serialized in every build.
+    pub fn set_fused_stages(&self, n: u64) {
+        self.with_top(|top| top.fused_stages = Some(n));
+    }
+
+    fn with_top(&self, f: impl FnOnce(&mut ActiveSpan)) {
         if !self.armed {
             return;
         }
         CTX.with(|c| {
             if let Some(top) = c.borrow_mut().stack.last_mut() {
-                top.records = n;
+                f(top);
             }
         });
+    }
+
+    /// Close the span now and return its duration, ns (`None` for an
+    /// unarmed guard, which measured nothing).
+    fn close(&mut self) -> Option<u64> {
+        if !std::mem::take(&mut self.armed) {
+            return None;
+        }
+        let (span, agg) = CTX.with(|c| {
+            let mut ctx = c.borrow_mut();
+            let span = ctx.stack.pop()?;
+            let dur_ns = span.started.elapsed().as_nanos() as u64;
+            if let Some(parent) = ctx.stack.last_mut() {
+                parent.child_ns += dur_ns;
+            }
+            // Quiet the unused warning when `trusted-owner` is off; the
+            // count deliberately dies here in that configuration.
+            let _ = span.records;
+            let completed = CompletedSpan {
+                id: span.id,
+                parent: span.parent,
+                name: span.name,
+                detail: span.detail,
+                track: ctx.track,
+                start_ns: span.start_ns,
+                dur_ns,
+                child_ns: span.child_ns,
+                fused_stages: span.fused_stages,
+                #[cfg(feature = "trusted-owner")]
+                records: span.records,
+            };
+            Some((completed, span.agg))
+        })?;
+        let dur_ns = span.dur_ns;
+        // The recorder may have been uninstalled while the span was open;
+        // the span is then simply discarded.
+        if let Some(rec) = recorder() {
+            if agg && rec.mode() == SpanMode::Aggregate {
+                rec.push_agg(&span);
+            } else {
+                rec.push(span);
+            }
+        }
+        Some(dur_ns)
     }
 }
 
@@ -411,45 +477,43 @@ impl std::fmt::Debug for SpanGuard {
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if !self.armed {
-            return;
-        }
-        let completed = CTX.with(|c| {
-            let mut ctx = c.borrow_mut();
-            let span = ctx.stack.pop()?;
-            let dur_ns = span.started.elapsed().as_nanos() as u64;
-            if let Some(parent) = ctx.stack.last_mut() {
-                parent.child_ns += dur_ns;
-            }
-            let records = span.records;
-            // Quiet the unused warning when `trusted-owner` is off; the
-            // count deliberately dies here in that configuration.
-            let _ = records;
-            let agg = span.agg;
-            let completed = CompletedSpan {
-                id: span.id,
-                parent: span.parent,
-                name: span.name,
-                detail: span.detail,
-                track: ctx.track,
-                start_ns: span.start_ns,
-                dur_ns,
-                child_ns: span.child_ns,
-                #[cfg(feature = "trusted-owner")]
-                records,
-            };
-            Some((completed, agg))
-        });
-        if let Some((span, agg)) = completed {
-            // The recorder may have been uninstalled while the span was
-            // open; the span is then simply discarded.
-            if let Some(rec) = recorder() {
-                if agg && rec.mode() == SpanMode::Aggregate {
-                    rec.push_agg(&span);
-                } else {
-                    rec.push(span);
-                }
-            }
+        self.close();
+    }
+}
+
+/// Open a span for a named toolkit phase (e.g. `"cdf_naive"`). Unlike
+/// [`enter`], the span is timed whether or not a recorder is installed, so
+/// [`PhaseGuard::finish`] can report its duration in the budget report;
+/// it is recorded like any other span when profiling is on.
+pub fn phase(name: &'static str) -> PhaseGuard {
+    PhaseGuard {
+        name,
+        span: enter_slow(name, None, false),
+    }
+}
+
+/// An open phase span; see [`phase`]. Dropping it without
+/// [`PhaseGuard::finish`] (an early error return) closes the span and
+/// emits nothing.
+#[derive(Debug)]
+pub struct PhaseGuard {
+    name: &'static str,
+    span: SpanGuard,
+}
+
+impl PhaseGuard {
+    /// Close the phase span and emit a [`PhaseEvent`] with its duration to
+    /// the global sink (nothing when none is installed). `eps_spent` is the
+    /// ε the phase charges by construction of its algorithm.
+    pub fn finish(mut self, eps_spent: f64) {
+        let wall_ns = self.span.close().unwrap_or(0);
+        if let Some(sink) = crate::sink::global_sink() {
+            sink.emit(&Event::Phase(PhaseEvent {
+                name: Arc::from(self.name),
+                eps_spent,
+                wall_ns,
+                at_ns: now_ns(),
+            }));
         }
     }
 }
@@ -469,19 +533,12 @@ pub struct AttributionRow {
     pub self_ns: u64,
 }
 
-/// Fold completed spans into per-name attribution rows, sorted by
-/// descending self time (ties broken by name for determinism).
-pub fn attribution(spans: &[CompletedSpan]) -> Vec<AttributionRow> {
-    attribution_with_aggregates(spans, &[])
-}
-
-/// [`attribution`] over full spans *and* the [`AggregatedSpans`] rows a
-/// [`SpanMode::Aggregate`] recorder folded — so the per-operator table is
-/// identical whichever mode recorded the run.
-pub fn attribution_with_aggregates(
-    spans: &[CompletedSpan],
-    aggs: &[AggregatedSpans],
-) -> Vec<AttributionRow> {
+/// Fold completed spans, and the [`AggregatedSpans`] rows a
+/// [`SpanMode::Aggregate`] recorder folded, into per-name attribution
+/// rows — so the per-operator table is identical whichever mode recorded
+/// the run — sorted by descending self time (ties broken by name for
+/// determinism).
+pub fn attribution(spans: &[CompletedSpan], aggs: &[AggregatedSpans]) -> Vec<AttributionRow> {
     let mut by_name: BTreeMap<&'static str, AttributionRow> = BTreeMap::new();
     fn row_for<'m>(
         by_name: &'m mut BTreeMap<&'static str, AttributionRow>,
@@ -595,6 +652,26 @@ mod tests {
     }
 
     #[test]
+    fn fused_stages_serialize_only_when_set() {
+        let _g = global_guard();
+        let rec = Arc::new(TraceRecorder::new());
+        install_recorder(rec.clone());
+        {
+            let s = enter("plan/materialize");
+            s.set_fused_stages(3);
+        }
+        {
+            let _memo_read = enter("plan/materialize");
+        }
+        uninstall_recorder();
+        let spans = rec.take();
+        assert_eq!(spans[0].fused_stages, Some(3));
+        assert!(spans[0].to_json().contains("\"fused_stages\":3"));
+        assert_eq!(spans[1].fused_stages, None);
+        assert!(!spans[1].to_json().contains("fused_stages"));
+    }
+
+    #[test]
     fn default_serialized_span_has_no_record_fields() {
         let _g = global_guard();
         let rec = Arc::new(TraceRecorder::new());
@@ -650,6 +727,7 @@ mod tests {
                 start_ns: 0,
                 dur_ns: 100,
                 child_ns: 80,
+                fused_stages: None,
                 #[cfg(feature = "trusted-owner")]
                 records: 0,
             },
@@ -662,6 +740,7 @@ mod tests {
                 start_ns: 10,
                 dur_ns: 80,
                 child_ns: 0,
+                fused_stages: None,
                 #[cfg(feature = "trusted-owner")]
                 records: 0,
             },
@@ -674,11 +753,12 @@ mod tests {
                 start_ns: 200,
                 dur_ns: 5,
                 child_ns: 0,
+                fused_stages: None,
                 #[cfg(feature = "trusted-owner")]
                 records: 0,
             },
         ];
-        let rows = attribution(&spans);
+        let rows = attribution(&spans, &[]);
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].name, "b");
         assert_eq!(rows[0].count, 2);
@@ -724,7 +804,7 @@ mod tests {
             aggs.iter().map(|a| a.total_ns).sum::<u64>()
         );
         // Attribution is fed from both sources.
-        let rows = attribution_with_aggregates(&spans, &aggs);
+        let rows = attribution(&spans, &aggs);
         assert_eq!(rows.len(), 3);
         let nc = rows.iter().find(|r| r.name == "noisy_count").unwrap();
         assert_eq!(nc.count, 3);

@@ -46,33 +46,16 @@ pub struct CounterSample {
 /// maps track ids to display names (see
 /// [`TraceRecorder::track_names`](crate::span::TraceRecorder::track_names));
 /// unnamed tracks display as `track-<id>`.
-pub fn write_chrome_trace<W: Write>(
-    w: W,
-    spans: &[CompletedSpan],
-    track_names: &BTreeMap<u64, Arc<str>>,
-) -> io::Result<()> {
-    write_chrome_trace_with_counters(w, spans, track_names, &[])
-}
-
-/// [`write_chrome_trace`] with counter tracks appended: one `"ph":"C"`
-/// event per [`CounterSample`], sharing the spans' `pid` so Perfetto
-/// shows the counters in the same timeline.
-pub fn write_chrome_trace_with_counters<W: Write>(
-    w: W,
-    spans: &[CompletedSpan],
-    track_names: &BTreeMap<u64, Arc<str>>,
-    counters: &[CounterSample],
-) -> io::Result<()> {
-    write_chrome_trace_aggregated(w, spans, track_names, counters, &[])
-}
-
-/// The full exporter: spans, counter tracks, *and* the folded
-/// [`AggregatedSpans`] rows a [`crate::span::SpanMode::Aggregate`]
-/// recorder produced. Each aggregate row becomes one
-/// synthetic `"ph":"X"` event on a dedicated `tid 0` lane named
+///
+/// `counters` become counter tracks: one `"ph":"C"` event per
+/// [`CounterSample`], sharing the spans' `pid` so Perfetto shows them in
+/// the same timeline. `aggs` are the folded [`AggregatedSpans`] rows a
+/// [`crate::span::SpanMode::Aggregate`] recorder produced: each becomes
+/// one synthetic `"ph":"X"` event on a dedicated `tid 0` lane named
 /// `"aggregated spans"`, laid end-to-end (the lane shows *total* time per
-/// charge path, not a timeline) with the fold's `count` in its args.
-pub fn write_chrome_trace_aggregated<W: Write>(
+/// charge path, not a timeline) with the fold's `count` in its args. With
+/// both empty, the document holds the spans alone.
+pub fn write_chrome_trace<W: Write>(
     mut w: W,
     spans: &[CompletedSpan],
     track_names: &BTreeMap<u64, Arc<str>>,
@@ -174,28 +157,14 @@ pub fn write_chrome_trace_aggregated<W: Write>(
 }
 
 /// [`write_chrome_trace`] into a `String`.
-pub fn chrome_trace_json(spans: &[CompletedSpan], track_names: &BTreeMap<u64, Arc<str>>) -> String {
-    chrome_trace_json_with_counters(spans, track_names, &[])
-}
-
-/// [`write_chrome_trace_with_counters`] into a `String`.
-pub fn chrome_trace_json_with_counters(
-    spans: &[CompletedSpan],
-    track_names: &BTreeMap<u64, Arc<str>>,
-    counters: &[CounterSample],
-) -> String {
-    chrome_trace_json_aggregated(spans, track_names, counters, &[])
-}
-
-/// [`write_chrome_trace_aggregated`] into a `String`.
-pub fn chrome_trace_json_aggregated(
+pub fn chrome_trace_json(
     spans: &[CompletedSpan],
     track_names: &BTreeMap<u64, Arc<str>>,
     counters: &[CounterSample],
     aggs: &[AggregatedSpans],
 ) -> String {
     let mut buf = Vec::new();
-    write_chrome_trace_aggregated(&mut buf, spans, track_names, counters, aggs)
+    write_chrome_trace(&mut buf, spans, track_names, counters, aggs)
         .expect("writing to a Vec cannot fail");
     String::from_utf8(buf).expect("exporter emits UTF-8")
 }
@@ -218,6 +187,7 @@ mod tests {
             start_ns: 1_500 * id,
             dur_ns: 2_250,
             child_ns: 0,
+            fused_stages: None,
             #[cfg(feature = "trusted-owner")]
             records: 7,
         }
@@ -228,7 +198,7 @@ mod tests {
         let spans = vec![span(1, None, "outer", 3), span(2, Some(1), "inner", 4)];
         let mut names = BTreeMap::new();
         names.insert(3u64, Arc::from("main"));
-        let json = chrome_trace_json(&spans, &names);
+        let json = chrome_trace_json(&spans, &names, &[], &[]);
         assert!(json.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["));
         assert!(json.ends_with("]}"));
         // Metadata events for both tracks; the unnamed one gets a fallback.
@@ -246,7 +216,7 @@ mod tests {
     #[test]
     fn event_count_matches_spans_plus_tracks() {
         let spans = vec![span(1, None, "a", 1), span(2, None, "b", 1)];
-        let json = chrome_trace_json(&spans, &BTreeMap::new());
+        let json = chrome_trace_json(&spans, &BTreeMap::new(), &[], &[]);
         assert_eq!(json.matches("\"ph\":\"X\"").count(), 2);
         assert_eq!(json.matches("\"ph\":\"M\"").count(), 1);
         // Events are comma-separated (valid array syntax).
@@ -255,13 +225,13 @@ mod tests {
 
     #[test]
     fn empty_trace_is_valid() {
-        let json = chrome_trace_json(&[], &BTreeMap::new());
+        let json = chrome_trace_json(&[], &BTreeMap::new(), &[], &[]);
         assert_eq!(json, "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[]}");
     }
 
     #[test]
     fn default_trace_omits_record_counts() {
-        let json = chrome_trace_json(&[span(2, None, "k", 1)], &BTreeMap::new());
+        let json = chrome_trace_json(&[span(2, None, "k", 1)], &BTreeMap::new(), &[], &[]);
         if cfg!(feature = "trusted-owner") {
             assert!(json.contains("\"records\":7"));
         } else {
@@ -289,13 +259,13 @@ mod tests {
     #[test]
     fn counter_samples_become_ph_c_events() {
         let spans = vec![span(1, None, "outer", 3)];
-        let json = chrome_trace_json_with_counters(&spans, &BTreeMap::new(), &eps_counters());
+        let json = chrome_trace_json(&spans, &BTreeMap::new(), &eps_counters(), &[]);
         assert_eq!(json.matches("\"ph\":\"C\"").count(), 2);
         assert!(json.contains("{\"name\":\"eps spent (root)\",\"ph\":\"C\",\"ts\":1,\"pid\":1,\"args\":{\"eps\":0.1}}"));
         assert!(json.contains("\"ts\":2.5,"));
         assert!(json.contains("{\"eps\":0.35}"));
         // Counters without spans still produce a valid document.
-        let only = chrome_trace_json_with_counters(&[], &BTreeMap::new(), &eps_counters());
+        let only = chrome_trace_json(&[], &BTreeMap::new(), &eps_counters(), &[]);
         assert!(only.starts_with("{\"displayTimeUnit\""));
         assert!(only.ends_with("]}"));
         assert!(!only.contains("}{"));
@@ -321,7 +291,7 @@ mod tests {
             },
         ];
         let spans = vec![span(1, None, "exec/run", 3)];
-        let json = chrome_trace_json_aggregated(&spans, &BTreeMap::new(), &[], &aggs);
+        let json = chrome_trace_json(&spans, &BTreeMap::new(), &[], &aggs);
         // Dedicated lane gets a name; rows lie end-to-end on tid 0.
         assert!(json.contains("{\"name\":\"aggregated spans\"}"));
         assert!(json.contains(
@@ -336,12 +306,6 @@ mod tests {
         let events = doc.get("traceEvents").and_then(JsonValue::items).unwrap();
         // 1 agg-lane meta + 1 span-track meta + 1 span + 2 aggregate rows.
         assert_eq!(events.len(), 5);
-        // Without aggregate rows the document is unchanged from the
-        // counters-only writer (full mode stays byte-stable).
-        assert_eq!(
-            chrome_trace_json_aggregated(&spans, &BTreeMap::new(), &[], &[]),
-            chrome_trace_json(&spans, &BTreeMap::new())
-        );
     }
 
     #[test]
@@ -353,7 +317,7 @@ mod tests {
         ];
         let mut names = BTreeMap::new();
         names.insert(3u64, Arc::from("main"));
-        let json = chrome_trace_json_with_counters(&spans, &names, &eps_counters());
+        let json = chrome_trace_json(&spans, &names, &eps_counters(), &[]);
         let doc = parse_value(&json).expect("emitted trace is parseable JSON");
         assert_eq!(
             doc.get("displayTimeUnit").and_then(JsonValue::as_str),

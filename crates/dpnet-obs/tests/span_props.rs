@@ -3,9 +3,10 @@
 //! trees with non-negative self time, and the default serialized form must
 //! stay free of record-derived fields.
 
-use dpnet_obs::span::{enter, enter_with, set_track_name};
+use dpnet_obs::span::{enter, enter_with, phase, set_track_name};
 use dpnet_obs::{
-    chrome_trace_json, install_recorder, uninstall_recorder, CompletedSpan, TraceRecorder,
+    chrome_trace_json, install_recorder, set_global_sink, uninstall_recorder, CompletedSpan, Event,
+    MemorySink, TraceRecorder,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -139,7 +140,7 @@ proptest! {
         }
 
         // The Chrome trace carries exactly one complete event per span.
-        let json = chrome_trace_json(&spans, &rec.track_names());
+        let json = chrome_trace_json(&spans, &rec.track_names(), &[], &[]);
         prop_assert_eq!(json.matches("\"ph\":\"X\"").count(), spans.len());
     }
 
@@ -153,7 +154,7 @@ proptest! {
         run_program(0, &program);
         uninstall_recorder();
         let spans = rec.take();
-        let trace = chrome_trace_json(&spans, &rec.track_names());
+        let trace = chrome_trace_json(&spans, &rec.track_names(), &[], &[]);
         for s in &spans {
             let j = s.to_json();
             if cfg!(feature = "trusted-owner") {
@@ -168,4 +169,43 @@ proptest! {
             prop_assert!(!trace.contains("records"), "data-dependent field in trace");
         }
     }
+}
+
+/// A phase span is timed with or without a recorder; `finish` reports the
+/// span's own duration to the global sink, and an abandoned phase (an
+/// early error return) emits nothing.
+#[test]
+fn phase_guards_report_their_span_duration() {
+    let _g = global_guard();
+    let sink = Arc::new(MemorySink::new());
+    set_global_sink(Some(sink.clone()));
+    uninstall_recorder();
+    phase("unrecorded").finish(0.5);
+    let rec = Arc::new(TraceRecorder::new());
+    install_recorder(rec.clone());
+    let recorded = phase("recorded");
+    {
+        let _inner = enter("inner");
+    }
+    recorded.finish(1.0);
+    drop(phase("abandoned"));
+    uninstall_recorder();
+    set_global_sink(None);
+
+    let phases: Vec<_> = sink
+        .events()
+        .into_iter()
+        .filter_map(|e| match e {
+            Event::Phase(p) => Some(p),
+            _ => None,
+        })
+        .collect();
+    let names: Vec<&str> = phases.iter().map(|p| &*p.name).collect();
+    assert_eq!(names, ["unrecorded", "recorded"]);
+    assert_eq!(phases[0].eps_spent, 0.5);
+    let spans = rec.take();
+    let span = |name: &str| spans.iter().find(|s| s.name == name).unwrap();
+    assert_eq!(phases[1].wall_ns, span("recorded").dur_ns);
+    assert_eq!(span("inner").parent, Some(span("recorded").id));
+    assert!(spans.iter().any(|s| s.name == "abandoned"));
 }

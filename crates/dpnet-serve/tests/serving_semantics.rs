@@ -220,6 +220,71 @@ fn audit_dir_gets_per_session_streams_and_the_owner_ledger() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The session audit contract: a session's stream holds what the owner
+/// audits — its aggregation requests and charges, closed out with the
+/// exact ledger — and no timing lines. A refused query still leaves its
+/// `aggregate` line, with `"outcome":"denied"`.
+#[test]
+fn session_audit_streams_hold_only_audit_lines() {
+    let dir = std::env::temp_dir().join(format!("dpnet-serve-contract-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let handle = serve(
+        vec![Arc::new(packets(400))],
+        NoiseSource::seeded(9),
+        ServeConfig {
+            global_eps: 10.0,
+            analyst_cap: 1.0,
+            workers: 2,
+            audit_dir: Some(dir.clone()),
+            ..ServeConfig::default()
+        },
+    )
+    .expect("daemon");
+
+    let mut c = Client::connect(handle.addr()).expect("connect");
+    c.open("carol").expect("open");
+    // filter → group_by → count: the grouping doubles the charge to 0.5.
+    c.query("heavy-hosts", 0.25).expect("heavy-hosts");
+    // 1.0 more does not fit the remaining 0.5 of the cap.
+    match c.query("heavy-hosts", 0.5) {
+        Err(ClientError::Server(e)) => assert_eq!(e.kind, ErrorKind::BudgetExhausted),
+        other => panic!("expected a budget refusal, got {other:?}"),
+    }
+    c.close().expect("close");
+    handle.shutdown();
+
+    let session_file = std::fs::read_dir(&dir)
+        .expect("audit dir")
+        .map(|e| e.expect("entry").path())
+        .find(|p| {
+            p.file_name()
+                .unwrap()
+                .to_string_lossy()
+                .starts_with("session-")
+        })
+        .expect("a session audit file");
+    let text = std::fs::read_to_string(&session_file).expect("readable");
+    let allowed = [
+        "aggregate",
+        "charge",
+        "spend",
+        "operator",
+        "path",
+        "summary",
+    ];
+    let mut denied = 0;
+    for line in text.lines() {
+        let obj = dpnet_obs::json::parse_flat_object(line).expect("flat JSONL line");
+        let kind = obj["type"].as_str().expect("typed line");
+        assert!(allowed.contains(&kind), "unexpected {kind} line: {line}");
+        if kind == "aggregate" && obj["outcome"].as_str() == Some("denied") {
+            denied += 1;
+        }
+    }
+    assert_eq!(denied, 1, "the refused query's aggregate line:\n{text}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The headline scale requirement: ≥ 1000 concurrent analyst sessions,
 /// zero panics, zero unexpected errors, graceful budget refusals only.
 #[test]

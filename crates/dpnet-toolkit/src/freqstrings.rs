@@ -17,7 +17,7 @@
 //! round; sequential across the `B` rounds). The final counts estimate the
 //! number of records carrying each surviving `B`-byte string.
 
-use dpnet_obs::{emit_phase_global, SpanTimer};
+use dpnet_obs::span;
 use pinq::{Queryable, Result};
 
 /// Pack up to 8 prefix bytes into one big-endian `u64` code. Distinct
@@ -83,7 +83,7 @@ pub fn frequent_strings(
     cfg: &FrequentStringsConfig,
 ) -> Result<Vec<FrequentString>> {
     assert!(cfg.length > 0, "string length must be positive");
-    let timer = SpanTimer::start();
+    let phase = span::phase("frequent_strings");
     // Viable prefixes from the previous round (starts with the empty one).
     let mut viable: Vec<Vec<u8>> = vec![Vec::new()];
     let mut counts: Vec<f64> = vec![f64::INFINITY];
@@ -171,11 +171,7 @@ pub fn frequent_strings(
             .expect("noisy counts are finite")
     });
     // One partitioned count per extension round actually executed.
-    emit_phase_global(
-        "frequent_strings",
-        levels_run as f64 * cfg.eps_per_level,
-        timer.elapsed_ns(),
-    );
+    phase.finish(levels_run as f64 * cfg.eps_per_level);
     Ok(out)
 }
 

@@ -332,7 +332,7 @@ impl ExecCtx {
         }
     }
 
-    /// Stable mode string used in plan events.
+    /// Stable mode string: the detail of `plan/materialize` spans.
     pub fn mode(&self) -> &'static str {
         match self {
             ExecCtx::Sequential => "sequential",

@@ -518,11 +518,6 @@ impl ExplainRecorder {
         }
     }
 
-    /// Drop everything recorded so far.
-    pub fn clear(&self) {
-        *self.state.lock() = RecorderState::default();
-    }
-
     /// Snapshot the recorded aggregations into a report.
     pub fn report(&self) -> ExplainReport {
         let st = self.state.lock();

@@ -74,11 +74,6 @@ impl<T> LazyPlan<T> {
         self.fused
     }
 
-    /// Source record count the fused pass ranges over.
-    pub(crate) fn source_len(&self) -> usize {
-        self.source_len
-    }
-
     /// The view a downstream transform should compose against. Once the
     /// plan has materialized, downstream stages read the memoized buffer
     /// instead of re-running the whole chain from the source.

@@ -45,9 +45,7 @@ use crate::shard::Shards;
 use crate::types::{Group, JoinGroup};
 use dpnet_obs::sink::SinkHandle;
 use dpnet_obs::span;
-use dpnet_obs::{
-    now_ns, AggregateEvent, Event, ExecEvent, Outcome, PlanEvent, SpanTimer, TransformEvent,
-};
+use dpnet_obs::{now_ns, AggregateEvent, Event, Outcome};
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::ops::Range;
@@ -323,8 +321,9 @@ impl<T> Queryable<T> {
 
     /// Force materialization (memoized) and return the shared buffer.
     ///
-    /// Emits one [`PlanEvent`] per *actual* materialization; reads of the
-    /// memo are free and silent. Under [`ExecCtx::Pool`] each fixed-size
+    /// Each *actual* materialization closes a `plan/materialize` span
+    /// carrying the plan's fused-stage width; reads of the memo leave the
+    /// attribute unset. Under [`ExecCtx::Pool`] each fixed-size
     /// source chunk's output becomes one shard of the buffer (see
     /// [`LazyPlan::force_pool`]) — no concatenation barrier.
     fn records(&self) -> Shards<T>
@@ -335,7 +334,6 @@ impl<T> Queryable<T> {
             Data::Ready(a) => a.clone(),
             Data::Lazy(plan) => {
                 let prof = span::enter_with("plan/materialize", || self.ctx.mode().to_string());
-                let t = SpanTimer::start();
                 let mut fresh = false;
                 let out = match &self.ctx {
                     ExecCtx::Sequential => plan.force_sequential(&mut fresh),
@@ -343,7 +341,7 @@ impl<T> Queryable<T> {
                 };
                 if fresh {
                     prof.set_records(out.len() as u64);
-                    self.emit_plan(plan.fused(), t.elapsed_ns(), plan.source_len(), out.len());
+                    prof.set_fused_stages(plan.fused() as u64);
                 }
                 out
             }
@@ -369,7 +367,7 @@ impl<T> Queryable<T> {
     /// fused chain when nothing has materialized — the fused form of the
     /// count aggregations. Deterministic in both modes (chunk counts are
     /// integers, summed in chunk order).
-    fn stream_count(&self, kernel: &'static str, t: &SpanTimer) -> usize
+    fn stream_count(&self) -> usize
     where
         T: Send + Sync,
     {
@@ -379,7 +377,6 @@ impl<T> Queryable<T> {
                 ExecCtx::Sequential => {
                     let mut n = 0usize;
                     run(0..domain, &mut |_| n += 1);
-                    self.emit_exec(kernel, 1, 1, t.elapsed_ns());
                     n
                 }
                 ExecCtx::Pool(pool) => {
@@ -389,7 +386,6 @@ impl<T> Queryable<T> {
                         run(r.clone(), &mut |_| n += 1);
                         n
                     });
-                    self.emit_exec(kernel, pool.workers(), ranges.len(), t.elapsed_ns());
                     counts.into_iter().sum()
                 }
             },
@@ -512,31 +508,6 @@ impl<T> Queryable<T> {
         }
     }
 
-    /// Emit a [`TransformEvent`] for a just-derived queryable.
-    fn emit_transform(
-        &self,
-        operator: &'static str,
-        stability_out: f64,
-        wall_ns: u64,
-        output_records: usize,
-    ) {
-        // Quiet the unused warning when `trusted-owner` is off: the count
-        // deliberately does not leave this function in that configuration.
-        let _ = output_records;
-        self.sink.emit(|| {
-            Event::Transform(TransformEvent {
-                operator,
-                label: self.label.clone(),
-                stability_in: self.stability,
-                stability_out,
-                wall_ns,
-                at_ns: now_ns(),
-                #[cfg(feature = "trusted-owner")]
-                output_records: output_records as u64,
-            })
-        });
-    }
-
     /// Emit an [`AggregateEvent`] describing a finished aggregation.
     /// `input_records` only leaves this function under `trusted-owner`.
     #[allow(clippy::too_many_arguments)]
@@ -547,7 +518,6 @@ impl<T> Queryable<T> {
         eps: f64,
         released: Option<f64>,
         outcome: Outcome,
-        timer: SpanTimer,
         input_records: usize,
     ) {
         let _ = input_records;
@@ -565,58 +535,9 @@ impl<T> Queryable<T> {
                 },
                 outcome,
                 released,
-                wall_ns: timer.elapsed_ns(),
-                at_ns: timer.started_at_ns(),
+                at_ns: now_ns(),
                 #[cfg(feature = "trusted-owner")]
                 input_records: input_records as u64,
-            })
-        });
-    }
-
-    /// Emit a [`PlanEvent`] describing one actual plan materialization.
-    /// The record counts only leave this function under `trusted-owner`.
-    fn emit_plan(&self, fused: usize, wall_ns: u64, source_records: usize, output_records: usize) {
-        let _ = (source_records, output_records);
-        // Process-wide ordinal: explain-analyze counts materializations per
-        // run by diffing, so monotonicity is all that matters here.
-        static MATERIALIZATIONS: std::sync::atomic::AtomicU64 =
-            std::sync::atomic::AtomicU64::new(1);
-        self.sink.emit(|| {
-            Event::Plan(PlanEvent {
-                materialization: MATERIALIZATIONS
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed),
-                fused_stages: fused as u64,
-                mode: self.ctx.mode(),
-                workers: self.ctx.workers() as u64,
-                wall_ns,
-                at_ns: now_ns(),
-                #[cfg(feature = "trusted-owner")]
-                source_records: source_records as u64,
-                #[cfg(feature = "trusted-owner")]
-                output_records: output_records as u64,
-            })
-        });
-    }
-
-    /// Emit an [`ExecEvent`] describing one finished parallel-kernel run.
-    /// `tasks` (the chunk count) is derived from the record count, so it
-    /// only leaves this function under `trusted-owner`.
-    pub(crate) fn emit_exec(
-        &self,
-        kernel: &'static str,
-        workers: usize,
-        tasks: usize,
-        wall_ns: u64,
-    ) {
-        let _ = tasks;
-        self.sink.emit(|| {
-            Event::Exec(ExecEvent {
-                kernel,
-                workers: workers as u64,
-                wall_ns,
-                at_ns: now_ns(),
-                #[cfg(feature = "trusted-owner")]
-                tasks: tasks as u64,
             })
         });
     }
@@ -641,7 +562,6 @@ impl<T> Queryable<T> {
     where
         T: Clone + Send + Sync + 'static,
     {
-        let t = SpanTimer::start();
         let plan = match self.view() {
             View::Source(src) => {
                 let len = src.len();
@@ -665,9 +585,7 @@ impl<T> Queryable<T> {
                 },
             ),
         };
-        let q = self.derive_lazy("filter", None, plan, self.stability);
-        self.emit_transform("filter", q.stability, t.elapsed_ns(), 0);
-        q
+        self.derive_lazy("filter", None, plan, self.stability)
     }
 
     /// Transform each record (PINQ `Select`). Stability ×1.
@@ -679,7 +597,6 @@ impl<T> Queryable<T> {
         T: Send + Sync + 'static,
         U: 'static,
     {
-        let t = SpanTimer::start();
         let plan = match self.view() {
             View::Source(src) => {
                 let len = src.len();
@@ -695,9 +612,7 @@ impl<T> Queryable<T> {
                 },
             ),
         };
-        let q = self.derive_lazy("map", None, plan, self.stability);
-        self.emit_transform("map", q.stability, t.elapsed_ns(), 0);
-        q
+        self.derive_lazy("map", None, plan, self.stability)
     }
 
     /// Expand each record into up to `bound` records (PINQ `SelectMany`).
@@ -719,7 +634,6 @@ impl<T> Queryable<T> {
         if bound == 0 {
             return Err(Error::InvalidFanout(bound));
         }
-        let t = SpanTimer::start();
         let plan = match self.view() {
             View::Source(src) => {
                 let len = src.len();
@@ -747,14 +661,12 @@ impl<T> Queryable<T> {
                 },
             ),
         };
-        let q = self.derive_lazy(
+        Ok(self.derive_lazy(
             "select_many",
             Some(format!("bound={bound}")),
             plan,
             self.stability * bound as f64,
-        );
-        self.emit_transform("select_many", q.stability, t.elapsed_ns(), 0);
-        Ok(q)
+        ))
     }
 
     /// Group records by a key (PINQ `GroupBy`). Stability ×2: adding or
@@ -765,12 +677,9 @@ impl<T> Queryable<T> {
         K: Eq + Hash + Clone,
         T: Clone + Send + Sync,
     {
-        let t = SpanTimer::start();
+        let _prof = span::enter("group_by");
         let out = group_records(&self.records(), key);
-        let n_out = out.len();
-        let q = self.derive("group_by", out, self.stability * 2.0);
-        self.emit_transform("group_by", q.stability, t.elapsed_ns(), n_out);
-        q
+        self.derive("group_by", out, self.stability * 2.0)
     }
 
     /// Keep the first record for each distinct key (PINQ `Distinct` over a
@@ -780,7 +689,7 @@ impl<T> Queryable<T> {
         K: Eq + Hash,
         T: Clone + Send + Sync,
     {
-        let t = SpanTimer::start();
+        let _prof = span::enter("distinct_by");
         let records = self.records();
         let mut seen = std::collections::HashSet::new();
         let out: Vec<T> = records
@@ -788,10 +697,7 @@ impl<T> Queryable<T> {
             .filter(|r| seen.insert(key(r)))
             .cloned()
             .collect();
-        let n_out = out.len();
-        let q = self.derive("distinct_by", out, self.stability);
-        self.emit_transform("distinct_by", q.stability, t.elapsed_ns(), n_out);
-        q
+        self.derive("distinct_by", out, self.stability)
     }
 
     /// Keep one copy of each distinct record. Stability ×1.
@@ -817,7 +723,7 @@ impl<T> Queryable<T> {
         T: Clone + Send + Sync,
         U: Clone + Send + Sync,
     {
-        let t = SpanTimer::start();
+        let _prof = span::enter("join");
         let left = self.records();
         let mut right: HashMap<K, Vec<U>> = group_records(&other.records(), right_key)
             .into_iter()
@@ -835,7 +741,7 @@ impl<T> Queryable<T> {
                 })
             })
             .collect();
-        self.combined("join", other, Shards::from_vec(out), t)
+        self.combined("join", other, Shards::from_vec(out))
     }
 
     /// The output of a binary operator (`concat`, `join`, `intersect`): it
@@ -846,10 +752,8 @@ impl<T> Queryable<T> {
         op: &'static str,
         other: &Queryable<V>,
         records: Shards<U>,
-        t: SpanTimer,
     ) -> Queryable<U> {
-        let n_out = records.len();
-        let q = Queryable {
+        Queryable {
             data: Data::Ready(records),
             charge: kernel::scaled_pair(
                 &self.charge,
@@ -863,9 +767,7 @@ impl<T> Queryable<T> {
             sink: self.sink.clone(),
             ctx: self.ctx.clone(),
             lineage: OpNode::combined(op, self.lineage.clone(), other.lineage.clone()),
-        };
-        self.emit_transform(op, q.stability, t.elapsed_ns(), n_out);
-        q
+        }
     }
 
     /// Concatenate two protected datasets (PINQ `Concat`). No sensitivity
@@ -879,7 +781,7 @@ impl<T> Queryable<T> {
     where
         T: Clone + Send + Sync,
     {
-        let t = SpanTimer::start();
+        let _prof = span::enter("concat");
         let left = self.records();
         let right = other.records();
         let records = if right.is_empty() {
@@ -889,7 +791,7 @@ impl<T> Queryable<T> {
         } else {
             left.concat(&right)
         };
-        self.combined("concat", other, records, t)
+        self.combined("concat", other, records)
     }
 
     /// Distinct records present in both inputs (PINQ `Intersect`). No
@@ -898,7 +800,7 @@ impl<T> Queryable<T> {
     where
         T: Eq + Hash + Clone + Send + Sync,
     {
-        let t = SpanTimer::start();
+        let _prof = span::enter("intersect");
         let mine = self.records();
         let others = other.records();
         let theirs: std::collections::HashSet<&T> = others.iter().collect();
@@ -908,7 +810,7 @@ impl<T> Queryable<T> {
             .filter(|r| theirs.contains(r) && seen.insert((*r).clone()))
             .cloned()
             .collect();
-        self.combined("intersect", other, Shards::from_vec(out), t)
+        self.combined("intersect", other, Shards::from_vec(out))
     }
 
     /// Split into disjoint parts by a *data-independent* key list (PINQ
@@ -939,7 +841,6 @@ impl<T> Queryable<T> {
         T: Clone + Send + Sync,
     {
         let prof = self.agg_span("partition");
-        let t = SpanTimer::start();
         let index_of: HashMap<&K, usize> = keys.iter().enumerate().map(|(i, k)| (k, i)).collect();
         if index_of.len() != keys.len() {
             return Err(Error::DuplicatePartitionKeys);
@@ -954,14 +855,10 @@ impl<T> Queryable<T> {
                         parts[i].push(r.clone());
                     }
                 }
-                // Sequential runs are still runs: one kernel event with
-                // `workers: 1`, so event streams cover both modes.
-                self.emit_exec("partition", 1, 1, t.elapsed_ns());
                 parts
             }
             ExecCtx::Pool(pool) => {
                 let ranges = pool.chunks(records.len());
-                let n_tasks = ranges.len();
                 let locals: Vec<Vec<Vec<T>>> = pool.run(&ranges, |_, r| {
                     let mut buckets: Vec<Vec<T>> = (0..keys.len()).map(|_| Vec::new()).collect();
                     records.for_range(r.clone(), &mut |rec| {
@@ -971,7 +868,6 @@ impl<T> Queryable<T> {
                     });
                     buckets
                 });
-                self.emit_exec("partition", pool.workers(), n_tasks, t.elapsed_ns());
                 let mut parts: Vec<Vec<T>> = (0..keys.len())
                     .map(|i| Vec::with_capacity(locals.iter().map(|l| l[i].len()).sum()))
                     .collect();
@@ -983,11 +879,7 @@ impl<T> Queryable<T> {
                 parts
             }
         };
-        let out = self.wrap_parts(parts);
-        // One event for the whole partition; the part count is the (public)
-        // key-list length, not a record count.
-        self.emit_transform("partition", 1.0, t.elapsed_ns(), keys.len());
-        Ok(out)
+        Ok(self.wrap_parts(parts))
     }
 
     /// Apply `f` to every part of a [`Queryable::partition`], returning
@@ -1028,19 +920,11 @@ impl<T> Queryable<T> {
         };
         let prof = span::enter("map_parts");
         prof.set_records(parts.len() as u64);
-        let t = SpanTimer::start();
         let staged: Vec<Queryable<T>> = parts.iter().map(Queryable::with_substream).collect();
-        let out = match &first.ctx {
+        match &first.ctx {
             ExecCtx::Sequential => staged.iter().map(&f).collect(),
             ExecCtx::Pool(pool) => pool.run(&staged, |_, part| f(part)),
-        };
-        first.emit_exec(
-            "map_parts",
-            first.ctx.workers(),
-            parts.len(),
-            t.elapsed_ns(),
-        );
-        out
+        }
     }
 
     /// Wrap materialized part buckets as queryables sharing one
@@ -1104,7 +988,6 @@ impl<T> Queryable<T> {
         T: Send + Sync,
     {
         let prof = self.agg_span("partition_noisy_counts");
-        let t = SpanTimer::start();
         let index_of: HashMap<&K, usize> = keys.iter().enumerate().map(|(i, k)| (k, i)).collect();
         if index_of.len() != keys.len() {
             return Err(Error::DuplicatePartitionKeys);
@@ -1124,7 +1007,6 @@ impl<T> Queryable<T> {
                         counts[i] += 1;
                     }
                 });
-                self.emit_exec("partition_noisy_counts", 1, 1, t.elapsed_ns());
                 counts
             }
             ExecCtx::Pool(pool) => {
@@ -1138,12 +1020,6 @@ impl<T> Queryable<T> {
                     });
                     counts
                 });
-                self.emit_exec(
-                    "partition_noisy_counts",
-                    pool.workers(),
-                    ranges.len(),
-                    t.elapsed_ns(),
-                );
                 let mut counts = vec![0usize; keys.len()];
                 for local in locals {
                     for (c, l) in counts.iter_mut().zip(local) {
@@ -1161,7 +1037,6 @@ impl<T> Queryable<T> {
         let prep = kernel::prepare("noisy_count", self.label.clone());
         let mut out = Vec::with_capacity(keys.len());
         for (node, &n) in nodes.iter().zip(counts.iter()) {
-            let part_timer = SpanTimer::start();
             let r = (|| {
                 kernel::charge_prepared(node, eps, &prep)?;
                 aggregates::noisy_count(&self.noise, n, eps)
@@ -1179,8 +1054,7 @@ impl<T> Queryable<T> {
                     eps_charged: if outcome == Outcome::Ok { eps } else { 0.0 },
                     outcome,
                     released: r.as_ref().ok().copied(),
-                    wall_ns: part_timer.elapsed_ns(),
-                    at_ns: part_timer.started_at_ns(),
+                    at_ns: now_ns(),
                     #[cfg(feature = "trusted-owner")]
                     input_records: n as u64,
                 })
@@ -1206,8 +1080,7 @@ impl<T> Queryable<T> {
         T: Send + Sync,
     {
         let prof = self.agg_span("noisy_count");
-        let t = SpanTimer::start();
-        let n = self.stream_count("noisy_count", &t);
+        let n = self.stream_count();
         prof.set_records(n as u64);
         let r = self
             .pay(eps, "noisy_count")
@@ -1218,7 +1091,6 @@ impl<T> Queryable<T> {
             eps,
             r.as_ref().ok().copied(),
             outcome_of(&r),
-            t,
             n,
         );
         r
@@ -1232,8 +1104,7 @@ impl<T> Queryable<T> {
         T: Send + Sync,
     {
         let prof = self.agg_span("noisy_count_int");
-        let t = SpanTimer::start();
-        let n = self.stream_count("noisy_count_int", &t);
+        let n = self.stream_count();
         prof.set_records(n as u64);
         let r = self
             .pay(eps, "noisy_count_int")
@@ -1244,7 +1115,6 @@ impl<T> Queryable<T> {
             eps,
             r.as_ref().ok().map(|&v| v as f64),
             outcome_of(&r),
-            t,
             n,
         );
         r
@@ -1283,7 +1153,6 @@ impl<T> Queryable<T> {
         T: Send + Sync,
     {
         let prof = self.agg_span("noisy_sum");
-        let t = SpanTimer::start();
         let mut n_records = 0usize;
         let r = (|| {
             if !(bound.is_finite() && bound > 0.0) {
@@ -1301,8 +1170,6 @@ impl<T> Queryable<T> {
                         total += aggregates::clamp(f(rec), -bound, bound);
                         n_records += 1;
                     });
-                    // Sequential runs still emit a kernel event: workers 1.
-                    self.emit_exec("noisy_sum", 1, 1, t.elapsed_ns());
                     total
                 }
                 ExecCtx::Pool(pool) => {
@@ -1316,7 +1183,6 @@ impl<T> Queryable<T> {
                         });
                         (s, n)
                     });
-                    self.emit_exec("noisy_sum", pool.workers(), ranges.len(), t.elapsed_ns());
                     n_records = partials.iter().map(|&(_, n)| n).sum();
                     partials.iter().map(|&(s, _)| s).sum::<f64>()
                 }
@@ -1330,7 +1196,6 @@ impl<T> Queryable<T> {
             eps,
             r.as_ref().ok().copied(),
             outcome_of(&r),
-            t,
             n_records,
         );
         r
@@ -1351,7 +1216,6 @@ impl<T> Queryable<T> {
         T: Send + Sync,
     {
         let prof = self.agg_span("noisy_sum_vector");
-        let t = SpanTimer::start();
         let records = self.records();
         prof.set_records(records.len() as u64);
         let r = (|| {
@@ -1372,7 +1236,6 @@ impl<T> Queryable<T> {
             eps,
             None,
             outcome_of(&r),
-            t,
             records.len(),
         );
         r
@@ -1385,7 +1248,6 @@ impl<T> Queryable<T> {
         T: Send + Sync,
     {
         let prof = self.agg_span("noisy_average");
-        let t = SpanTimer::start();
         let records = self.records();
         prof.set_records(records.len() as u64);
         let r = self
@@ -1397,7 +1259,6 @@ impl<T> Queryable<T> {
             eps,
             r.as_ref().ok().copied(),
             outcome_of(&r),
-            t,
             records.len(),
         );
         r
@@ -1436,7 +1297,6 @@ impl<T> Queryable<T> {
         T: Send + Sync,
     {
         let prof = self.agg_span("most_common_key");
-        let t = SpanTimer::start();
         let records = self.records();
         prof.set_records(records.len() as u64);
         let r = (|| {
@@ -1460,7 +1320,6 @@ impl<T> Queryable<T> {
             eps,
             r.as_ref().ok().map(|&i| i as f64),
             outcome_of(&r),
-            t,
             records.len(),
         );
         r
@@ -1491,7 +1350,6 @@ impl<T> Queryable<T> {
         T: Send + Sync,
     {
         let prof = self.agg_span("noisy_median");
-        let t = SpanTimer::start();
         let mut n_records = 0usize;
         let r = (|| {
             if lo >= hi || !lo.is_finite() || !hi.is_finite() {
@@ -1506,8 +1364,6 @@ impl<T> Queryable<T> {
                 ExecCtx::Sequential => {
                     let mut values = Vec::new();
                     src.walk(0..domain, &mut |rec| values.push(f(rec)));
-                    // Sequential runs still emit a kernel event: workers 1.
-                    self.emit_exec("noisy_median", 1, 1, t.elapsed_ns());
                     values
                 }
                 ExecCtx::Pool(pool) => {
@@ -1517,7 +1373,6 @@ impl<T> Queryable<T> {
                         src.walk(rg.clone(), &mut |rec| v.push(f(rec)));
                         v
                     });
-                    self.emit_exec("noisy_median", pool.workers(), ranges.len(), t.elapsed_ns());
                     let mut values = Vec::with_capacity(chunks.iter().map(Vec::len).sum());
                     for mut c in chunks {
                         values.append(&mut c);
@@ -1535,7 +1390,6 @@ impl<T> Queryable<T> {
             eps,
             r.as_ref().ok().copied(),
             outcome_of(&r),
-            t,
             n_records,
         );
         r
@@ -1937,42 +1791,45 @@ mod tests {
     #[test]
     fn fused_aggregations_stream_without_materializing() {
         let acct = Accountant::new(10.0);
-        let sink = Arc::new(dpnet_obs::MemorySink::new());
-        acct.set_sink(Some(sink.clone()));
         let noise = NoiseSource::seeded(53);
         let q = Queryable::new((0..10_000u32).collect::<Vec<_>>(), &acct, &noise);
         let chain = q
             .filter(|v| v % 2 == 0)
             .map(|&v| u64::from(v))
             .filter(|&v| v > 10);
-        let plans = || {
-            sink.events()
+        // The recorder is process-wide and other tests run concurrently:
+        // count only forced plans on this test's own track.
+        let rec = Arc::new(dpnet_obs::TraceRecorder::new());
+        dpnet_obs::install_recorder(rec.clone());
+        let me = span::current_track();
+        let forced = || -> Vec<u64> {
+            rec.spans()
                 .iter()
-                .filter(|e| matches!(e, dpnet_obs::Event::Plan(_)))
-                .count()
+                .filter(|s| s.track == me && s.name == "plan/materialize")
+                .filter_map(|s| s.fused_stages)
+                .collect()
         };
-        assert_eq!(plans(), 0, "declaring transforms must not materialize");
+        assert!(
+            forced().is_empty(),
+            "declaring transforms must not materialize"
+        );
         chain.noisy_count(0.1).unwrap();
         chain.noisy_sum_clamped(0.1, 100.0, |&v| v as f64).unwrap();
         chain
             .noisy_median(0.1, 0.0, 10_000.0, 16, |&v| v as f64)
             .unwrap();
-        assert_eq!(plans(), 0, "fused aggregations stream; no plan forced");
+        assert!(
+            forced().is_empty(),
+            "fused aggregations stream; no plan forced"
+        );
         // A barrier that genuinely needs the buffer (group_by) forces once…
         chain.group_by(|&v| v % 7).noisy_count(0.1).unwrap();
-        assert_eq!(plans(), 1, "group_by forces the plan");
+        assert_eq!(forced().len(), 1, "group_by forces the plan");
         // …and later fused aggregations read the memo, not the chain.
         chain.noisy_count(0.1).unwrap();
-        assert_eq!(plans(), 1, "memoized plan is reused");
-        let fused = sink
-            .events()
-            .iter()
-            .find_map(|e| match e {
-                dpnet_obs::Event::Plan(p) => Some(p.fused_stages),
-                _ => None,
-            })
-            .unwrap();
-        assert_eq!(fused, 3, "filter → map → filter fuse into one pass");
+        chain.group_by(|&v| v % 3).noisy_count(0.1).unwrap();
+        dpnet_obs::uninstall_recorder();
+        assert_eq!(forced(), [3], "filter → map → filter fuse into one pass");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! event/ledger consistency, the privacy-safety rule, and concurrent
 //! budget enforcement.
 
-use dpnet_obs::{Event, MemorySink, Outcome};
+use dpnet_obs::{install_recorder, uninstall_recorder, Event, MemorySink, Outcome, TraceRecorder};
 use pinq::{Accountant, NoiseSource, Queryable};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -16,12 +16,14 @@ fn observed(budget: f64, n: usize) -> (Accountant, Arc<MemorySink>, Queryable<u6
     (acct, sink, q)
 }
 
-/// A mixed workload touching transformations, scaling, partitioning, and
-/// several aggregation mechanisms.
+/// A mixed workload touching transformations, a forced plan, scaling,
+/// partitioning, and several aggregation mechanisms.
 fn mixed_workload(q: &Queryable<u64>) {
     let evens = q.filter(|v| v % 2 == 0).with_label("evens");
     evens.noisy_count(0.1).unwrap();
     evens.noisy_sum_clamped(0.05, 100.0, |&v| v as f64).unwrap();
+    // A barrier on the lazy chain forces (materializes) the plan.
+    evens.group_by(|v| v % 4).noisy_count(0.01).unwrap();
     // GroupBy doubles stability: the aggregate charges 2 × ε.
     let grouped = q.group_by(|v| v % 5);
     grouped.noisy_count(0.02).unwrap();
@@ -112,31 +114,46 @@ fn denied_aggregations_emit_denied_outcomes_and_charge_nothing() {
 }
 
 /// The privacy-safety rule (tentpole acceptance): in the default build no
-/// event type may expose raw record counts — or any other record-derived
-/// field — through its serialized form. The `trusted-owner` feature is the
-/// only gate for such fields.
+/// event type and no span may expose raw record counts — or any other
+/// record-derived field — through its serialized form. The `trusted-owner`
+/// feature is the only gate for such fields. A forced plan's fused-stage
+/// width is query structure and is serialized in every build.
 #[test]
 fn events_carry_no_data_dependent_fields_by_default() {
     let (_, sink, q) = observed(10.0, 400);
+    // This binary's only recorder; other tests' spans land in it too, so
+    // look only at this thread's track.
+    let rec = Arc::new(TraceRecorder::new());
+    install_recorder(rec.clone());
     mixed_workload(&q);
+    uninstall_recorder();
+    let me = dpnet_obs::span::current_track();
+    let spans: Vec<_> = rec.take().into_iter().filter(|s| s.track == me).collect();
+    assert!(
+        spans.iter().any(|s| s.fused_stages == Some(1)),
+        "the forced plan's span carries its fused width"
+    );
     let events = sink.events();
     assert!(!events.is_empty());
     let mut kinds_seen = std::collections::BTreeSet::new();
-    for e in &events {
-        kinds_seen.insert(e.kind());
-        let json = e.to_json();
+    let span_json = spans.iter().map(|s| ("span", s.to_json()));
+    for (kind, json) in events
+        .iter()
+        .map(|e| (e.kind(), e.to_json()))
+        .chain(span_json)
+    {
+        kinds_seen.insert(kind);
         if cfg!(feature = "trusted-owner") {
             continue; // owner builds may carry record counts
         }
         assert!(
             !json.contains("records"),
-            "data-dependent field leaked from a {} event: {json}",
-            e.kind()
+            "data-dependent field leaked from a {kind}: {json}"
         );
     }
-    // The workload must have exercised both event families the rule governs.
-    assert!(kinds_seen.contains("transform"), "kinds: {kinds_seen:?}");
+    // The workload must have exercised the event kinds that remain.
     assert!(kinds_seen.contains("aggregate"), "kinds: {kinds_seen:?}");
+    assert!(kinds_seen.contains("charge"), "kinds: {kinds_seen:?}");
 }
 
 #[cfg(feature = "trusted-owner")]

@@ -1,10 +1,9 @@
 //! Integration tests of the span profiler against real queryables: span
 //! trees from full query pipelines, worker-track telemetry, charge-path
-//! tagging, sequential-mode kernel events, and the privacy rule end-to-end.
+//! tagging, and the privacy rule end-to-end.
 
 use dpnet_obs::{
-    install_recorder, uninstall_recorder, CompletedSpan, Event, MemorySink, MetricsRegistry,
-    TraceRecorder,
+    install_recorder, uninstall_recorder, CompletedSpan, MemorySink, MetricsRegistry, TraceRecorder,
 };
 use pinq::{Accountant, ExecCtx, ExecPool, NoiseSource, Queryable};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -31,53 +30,6 @@ fn profiled<R>(work: impl FnOnce() -> R) -> (R, Vec<CompletedSpan>, Arc<TraceRec
     uninstall_recorder();
     let spans = rec.take();
     (out, spans, rec)
-}
-
-/// Satellite fix: a sequential-context aggregation run is still a kernel
-/// run. It must emit an [`dpnet_obs::ExecEvent`] with `workers: 1` instead
-/// of being silently skipped.
-#[test]
-fn sequential_runs_emit_exec_events_with_one_worker() {
-    let (_, sink, q) = dataset(2_000, 100.0);
-    // Explicitly sequential: the default context.
-    let q = q.with_ctx(ExecCtx::Sequential);
-    q.noisy_sum_clamped(0.1, 10.0, |&v| v as f64).unwrap();
-    q.noisy_median(0.1, 0.0, 2_000.0, 32, |&v| v as f64)
-        .unwrap();
-    let keys = [0u64, 1, 2];
-    q.partition(&keys, |v| v % 3).unwrap();
-
-    let mut kernels: Vec<(&'static str, u64)> = sink
-        .events()
-        .iter()
-        .filter_map(|e| match e {
-            Event::Exec(x) => Some((x.kernel, x.workers)),
-            _ => None,
-        })
-        .collect();
-    kernels.sort_unstable();
-    assert_eq!(
-        kernels,
-        vec![("noisy_median", 1), ("noisy_sum", 1), ("partition", 1)],
-        "sequential aggregations must emit workers:1 exec events"
-    );
-}
-
-#[test]
-fn pool_and_sequential_modes_emit_the_same_kernel_set() {
-    let (_, seq_sink, q) = dataset(40_000, 100.0);
-    q.noisy_sum_clamped(0.1, 10.0, |&v| v as f64).unwrap();
-    let (_, pool_sink, q) = dataset(40_000, 100.0);
-    let q = q.with_ctx(ExecCtx::pool(&ExecPool::new(4).unwrap()));
-    q.noisy_sum_clamped(0.1, 10.0, |&v| v as f64).unwrap();
-    let kernel_of = |sink: &MemorySink| {
-        sink.events().iter().find_map(|e| match e {
-            Event::Exec(x) => Some((x.kernel, x.workers)),
-            _ => None,
-        })
-    };
-    assert_eq!(kernel_of(&seq_sink), Some(("noisy_sum", 1)));
-    assert_eq!(kernel_of(&pool_sink), Some(("noisy_sum", 4)));
 }
 
 #[test]
@@ -212,7 +164,7 @@ fn pipeline_spans_serialize_without_record_fields_by_default() {
             .unwrap();
     });
     assert!(!spans.is_empty());
-    let trace = dpnet_obs::chrome_trace_json(&spans, &rec.track_names());
+    let trace = dpnet_obs::chrome_trace_json(&spans, &rec.track_names(), &[], &[]);
     for json in spans.iter().map(|s| s.to_json()).chain([trace]) {
         if cfg!(feature = "trusted-owner") {
             continue;
